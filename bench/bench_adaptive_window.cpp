@@ -18,7 +18,8 @@
 // piggybacked queue-occupancy signal must damp the window).
 //
 // Headline quantities per (regime, config): device-collections (QoA),
-// relay flood transmissions (duplicate-flood work), radio bytes offered,
+// relay flood transmissions (duplicate-flood work), radio bytes
+// transmitted (once per transmission, like the energy tap),
 // store-and-forward drops, and the final window. The bench FAILS (exit 1)
 // unless, in the lossy regime, adaptive collection control (adaptive
 // window + scoped retries) collects at least as much as fixed64 with
@@ -93,7 +94,7 @@ scenario::ShardedFleetConfig make_config(const Regime& regime,
 struct CaseResult {
   size_t collected = 0;     // device-collections over all rounds (QoA)
   uint64_t flood_tx = 0;    // relay flood transmissions (forwarded floods)
-  uint64_t bytes = 0;       // radio payload bytes offered
+  uint64_t bytes = 0;       // radio payload bytes transmitted
   uint64_t drops = 0;       // store-and-forward overflow drops
   uint64_t scoped = 0;      // retries that rode a cached route
   uint64_t window_final = 0;
@@ -112,7 +113,7 @@ CaseResult run_case(const Regime& regime, const WindowCase& wcase) {
   r.flood_tx = totals.floods_forwarded;
   r.drops = totals.reports_dropped;
   r.scoped = totals.scoped_sent;
-  r.bytes = runner.overlay_network()->stats().bytes_sent;
+  r.bytes = runner.overlay_network()->stats().phys_tx_bytes;
   r.window_final = runner.service().round_stats().window_final;
   r.loss_backoffs = runner.service().stats().loss_backoffs;
   r.congestion_backoffs = runner.service().stats().congestion_backoffs;

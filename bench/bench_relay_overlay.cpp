@@ -121,6 +121,7 @@ struct CellRun {
   uint64_t clusters = 0;
   uint64_t aggregated_sessions = 0;
   uint64_t demand_fetches = 0;
+  uint64_t offers = 0;  // radio frames offered to the link filter
   double wall_ms = 0.0;
 };
 
@@ -144,6 +145,7 @@ CellRun run_cell(bool aggregated) {
   r.clusters = runner.overlay_totals().aggregates_received;
   r.aggregated_sessions = runner.service().stats().aggregated_sessions;
   r.demand_fetches = runner.service().stats().demand_fetches;
+  r.offers = runner.overlay_network()->stats().sent;
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -155,6 +157,7 @@ struct BenchRun {
   double round_ms = 0.0;           // wall per collection round
   double collections_per_s = 0.0;  // device-collections per wall second
   size_t collected = 0;
+  uint64_t offers = 0;  // radio frames offered to the link filter
   scenario::ShardedFleetRunner::OverlayTotals totals;
   std::string metrics_json;
 };
@@ -184,6 +187,7 @@ BenchRun run_at(size_t threads) {
           ? 0.0
           : static_cast<double>(result.collected) / (run_ms / 1000.0);
   result.totals = runner.overlay_totals();
+  result.offers = runner.overlay_network()->stats().sent;
   result.metrics_json = out.str();
   return result;
 }
@@ -206,6 +210,7 @@ int main(int argc, char** argv) {
                          "device-collections/s", "collected"});
 
   std::string reference_metrics;
+  uint64_t reference_offers = 0;
   bool deterministic = true;
   BenchRun last;
   const std::vector<size_t> thread_counts =
@@ -214,7 +219,9 @@ int main(int argc, char** argv) {
     const BenchRun r = run_at(threads);
     if (reference_metrics.empty()) {
       reference_metrics = r.metrics_json;
-    } else if (r.metrics_json != reference_metrics) {
+      reference_offers = r.offers;
+    } else if (r.metrics_json != reference_metrics ||
+               r.offers != reference_offers) {
       deterministic = false;
     }
     table.add_row({std::to_string(threads), analysis::fmt(r.build_ms, 1),
@@ -262,6 +269,11 @@ int main(int argc, char** argv) {
   bench.sample("mean_relay_hops", mean_hops);
   bench.sample("reports_relayed", static_cast<double>(last.totals.reports_relayed));
   bench.sample("route_repairs", static_cast<double>(last.totals.route_repairs));
+  // Exact work counter: radio offers track the neighbour count, not the
+  // fleet size. Offering every frame to every node fails this by name.
+  std::printf("radio offers: %llu\n\n",
+              static_cast<unsigned long long>(last.offers));
+  bench.sample("offers", static_cast<double>(last.offers));
 
   std::printf("metrics byte-identical across thread counts: %s\n\n",
               deterministic ? "yes" : "NO (BUG)");
@@ -280,14 +292,17 @@ int main(int argc, char** argv) {
           ? 0.0
           : noagg.tx_bytes_per_device / agg.tx_bytes_per_device;
 
-  analysis::Table cell_table({"mode", "radio tx B/device", "collected",
+  analysis::Table cell_table({"mode", "radio tx B/device", "offers",
+                              "collected",
                               "healthy", "clusters", "demand fetches",
                               "wall ms"});
   cell_table.add_row({"per-device", analysis::fmt(noagg.tx_bytes_per_device, 0),
+                      std::to_string(noagg.offers),
                       std::to_string(noagg.collected),
                       std::to_string(noagg.healthy), "-", "-",
                       analysis::fmt(noagg.wall_ms, 0)});
   cell_table.add_row({"aggregated", analysis::fmt(agg.tx_bytes_per_device, 0),
+                      std::to_string(agg.offers),
                       std::to_string(agg.collected),
                       std::to_string(agg.healthy),
                       std::to_string(agg.clusters),
@@ -308,6 +323,8 @@ int main(int argc, char** argv) {
                static_cast<double>(agg.aggregated_sessions));
   bench.sample("agg10k_demand_fetches",
                static_cast<double>(agg.demand_fetches));
+  bench.sample("noagg10k_offers", static_cast<double>(noagg.offers));
+  bench.sample("agg10k_offers", static_cast<double>(agg.offers));
   bench.sample("noagg10k_wall_ms", noagg.wall_ms);
   bench.sample("agg10k_wall_ms", agg.wall_ms);
 

@@ -63,18 +63,43 @@ void Network::broadcast(NodeId src, const std::vector<NodeId>& dsts,
   // One physical transmission: the sender's radio is charged once, not
   // per destination (Stats::bytes_sent stays per-attempt -- it counts
   // offered load, the tap counts joules).
-  if (!dsts.empty()) stats_.phys_tx_bytes += payload.size();
-  if (energy_tap_ && !dsts.empty()) {
-    energy_tap_(src, payload.size(), /*tx=*/true);
+  if (dsts.empty()) return;
+  stats_.phys_tx_bytes += payload.size();
+  if (energy_tap_) energy_tap_(src, payload.size(), /*tx=*/true);
+  offer(src, dsts, payload);
+}
+
+void Network::flood(NodeId src, NodeId except, ByteView payload) {
+  if (src >= handlers_.size()) {
+    throw std::out_of_range("Network: unknown endpoint");
   }
+  const size_t audience =
+      handlers_.size() - 1 - (except != src && except < handlers_.size());
+  if (audience == 0) return;
+  stats_.phys_tx_bytes += payload.size();
+  if (energy_tap_) energy_tap_(src, payload.size(), /*tx=*/true);
+  // The candidates come after the tx charge: it can silence the sender,
+  // which the index (and the filter) must see.
+  candidates_.clear();
+  if (index_) {
+    index_(src, except, candidates_);
+  } else {
+    for (NodeId node = 0; node < handlers_.size(); ++node) {
+      if (node != src && node != except) candidates_.push_back(node);
+    }
+  }
+  offer(src, candidates_, payload);
+}
+
+void Network::offer(NodeId src, const std::vector<NodeId>& dsts,
+                    ByteView payload) {
   for (const NodeId dst : dsts) {
     if (dst >= handlers_.size()) {
       throw std::out_of_range("Network: unknown endpoint");
     }
     // Same per-destination draw and event order as the equivalent send()
     // loop -- but the payload is only copied for destinations that are
-    // actually delivered to, which is what makes swarm-wide radio floods
-    // (1 sender x N destinations, most out of range) affordable.
+    // actually delivered to.
     if (!admit(src, dst, payload.size())) continue;
     stats_.phys_rx_bytes += payload.size();
     if (energy_tap_) energy_tap_(dst, payload.size(), /*tx=*/false);

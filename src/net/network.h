@@ -73,6 +73,22 @@ class Network {
   void broadcast(NodeId src, const std::vector<NodeId>& dsts,
                  ByteView payload);
 
+  /// Candidate source for flood(): appends to `out`, in ascending id, a
+  /// superset of the nodes other than `src` and `except` that the link
+  /// filter can pass right now. It may evaluate the filter itself (to
+  /// replay the filter's side effects); the network still filters every
+  /// candidate. Runs after the sender's tx energy charge.
+  using RadioIndex = std::function<void(NodeId src, NodeId except,
+                                        std::vector<NodeId>& out)>;
+  void set_radio_index(RadioIndex index) { index_ = std::move(index); }
+
+  /// A radio broadcast by `src`, heard by every node but `src` and
+  /// `except` that the link filter admits: byte-identical to broadcast()
+  /// over that full audience, but only the radio index's candidates are
+  /// offered (all of them when no index is installed). The tx charge and
+  /// phys_tx_bytes follow the full audience, never the candidate count.
+  void flood(NodeId src, NodeId except, ByteView payload);
+
   /// Replaces the per-datagram loss probability mid-run (scheduled
   /// loss-burst fault injection, src/adversary). Takes effect at the next
   /// admit draw; the RNG stream is untouched, so a burst schedule is as
@@ -86,18 +102,21 @@ class Network {
   sim::Time now() const { return queue_.now(); }
 
   struct Stats {
+    /// Destination attempts offered to the link filter. A flood() offers
+    /// only the radio index's candidates, so this (like bytes_sent and
+    /// dropped_disconnected) counts the index's work, not the full
+    /// audience.
     uint64_t sent = 0;
     uint64_t delivered = 0;
     uint64_t dropped_loss = 0;
     uint64_t dropped_disconnected = 0;
-    /// Payload bytes offered to the medium (counted per destination
-    /// attempt, delivered or not -- the radio transmits either way).
+    /// Payload bytes of those attempts, delivered or not.
     uint64_t bytes_sent = 0;
     /// PHYSICAL radio bytes: tx counted once per transmission like the
     /// energy tap (a broadcast keys the radio once, however many
     /// destinations it reaches), rx per destination actually delivered
     /// to. The honest air-interface load -- bytes_sent scales with the
-    /// destination count and would overstate a flood's radio cost.
+    /// candidate count and is no radio cost at all.
     /// (node_stats() keeps these zero: per-destination attribution of a
     /// shared transmission is exactly the double count avoided here.)
     uint64_t phys_tx_bytes = 0;
@@ -112,6 +131,8 @@ class Network {
  private:
   /// Stats + link-filter + loss draw for one (src, dst); true = deliver.
   bool admit(NodeId src, NodeId dst, size_t payload_bytes);
+  /// The per-destination half of a broadcast (the tx side is charged).
+  void offer(NodeId src, const std::vector<NodeId>& dsts, ByteView payload);
   void deliver(Datagram dgram);
 
   sim::EventQueue& queue_;
@@ -119,6 +140,8 @@ class Network {
   double loss_probability_;
   sim::Rng rng_;
   LinkFilter filter_;
+  RadioIndex index_;
+  std::vector<NodeId> candidates_;  // flood() reuse
   EnergyTap energy_tap_;
   std::vector<Handler> handlers_;
   Stats stats_;

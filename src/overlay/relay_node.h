@@ -122,12 +122,9 @@ class RelayNode {
   /// send time. Empty = no repair, forward blindly like the radio would.
   using LinkProbe = std::function<bool(net::NodeId self, net::NodeId peer)>;
 
-  /// `num_nodes` bounds the physical broadcast loop (node ids
-  /// [0, num_nodes) exist on `network`, this node and the verifier
-  /// included). The node installs itself as `self`'s datagram handler.
+  /// The node installs itself as `self`'s datagram handler.
   RelayNode(sim::EventQueue& queue, net::Network& network, net::NodeId self,
-            attest::Prover& prover, size_t num_nodes,
-            RelayNodeConfig config = {});
+            attest::Prover& prover, RelayNodeConfig config = {});
   ~RelayNode();
 
   RelayNode(const RelayNode&) = delete;
@@ -210,7 +207,6 @@ class RelayNode {
   void flush_aggregate(uint32_t flood_id);
   /// The route's current uplink, after any route repair.
   net::NodeId uplink(FloodRoute& route);
-  void physical_broadcast(ByteView payload, net::NodeId except);
   void prune_routes();
   /// schedule_after with cancellation-on-destruction bookkeeping.
   void schedule(sim::Duration delay, std::function<void()> fn);
@@ -219,7 +215,6 @@ class RelayNode {
   net::Network& network_;
   net::NodeId self_;
   attest::Prover& prover_;
-  size_t num_nodes_;
   RelayNodeConfig config_;
   LinkProbe link_probe_;
 
@@ -228,7 +223,6 @@ class RelayNode {
   /// is a duplicate by construction.
   bool first_sight(uint32_t flood);
 
-  std::vector<net::NodeId> scratch_dsts_;  // physical_broadcast reuse
   std::map<uint32_t, FloodRoute> routes_;  // flood id -> uplink state
   std::set<uint32_t> seen_floods_;         // recent ids above watermark
   uint32_t flood_watermark_ = 0;           // highest flood id seen

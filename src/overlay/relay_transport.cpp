@@ -77,12 +77,7 @@ void RelayTransport::launch_flood(std::vector<net::NodeId> targets,
 
   const Bytes payload =
       frame_relay(RelayMsg::kCollectFlood, flood.serialize());
-  scratch_dsts_.clear();
-  scratch_dsts_.reserve(num_nodes_);
-  for (net::NodeId node = 0; node < num_nodes_; ++node) {
-    if (node != self_) scratch_dsts_.push_back(node);
-  }
-  network_.broadcast(self_, scratch_dsts_, payload);
+  network_.flood(self_, self_, payload);
 }
 
 void RelayTransport::launch_scoped(CachedRoute& route, attest::MsgType type,

@@ -181,7 +181,6 @@ class RelayTransport : public attest::Transport {
   AggregateReceiver aggregate_receiver_;
 
   uint32_t next_flood_ = 1;
-  std::vector<net::NodeId> scratch_dsts_;  // flood-launch reuse
   std::map<uint32_t, std::set<net::NodeId>> delivered_;  // flood -> origins
   /// Aggregate dedup, keyed by head but kept apart from delivered_: a
   /// head both BUILDS an aggregate and sends its own raw report up the

@@ -63,7 +63,7 @@ WindowSpec WindowSpec::parse(const std::string& text) {
   return spec;
 }
 
-attest::WindowConfig WindowSpec::resolve(CollectionBackend backend,
+attest::WindowConfig WindowSpec::resolve(CollectionBackend /*backend*/,
                                          size_t fleet) const {
   attest::WindowConfig wc;
   switch (mode) {
@@ -113,10 +113,9 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
     shard.queue = std::make_unique<sim::EventQueue>();
   }
   // One pool for every parallel phase (shard advance, batch serve, batched
-  // verify, adjacency rows). With one shard it degenerates to inline
-  // execution on the calling thread.
+  // verify). With one shard it degenerates to inline execution on the
+  // calling thread.
   executor_ = std::make_unique<common::ParallelExecutor>(shards_.size());
-  mobility_.set_executor(executor_.get());
 
   // Build in global id order: stack construction is partition-independent,
   // only the owning queue differs.
@@ -227,6 +226,19 @@ void ShardedFleetRunner::build_overlay() {
   verifier_node_ = overlay_net_->add_node({});
   overlay_net_->set_link_filter(
       [this](net::NodeId a, net::NodeId b) { return link_up(a, b); });
+  // Floods are offered only to the nodes the mobility index can place in
+  // range, after replaying the trajectory draws the filter would have
+  // made on the rest -- outputs stay those of offering every node.
+  radio_audience_ = std::make_unique<swarm::RadioAudience>(
+      mobility_, specs_.size() + 1, config_.root,
+      [this](net::NodeId a, net::NodeId b) { return link_up(a, b); },
+      [this](net::NodeId n) { return n != verifier_node_ && !active(n); });
+  overlay_net_->set_radio_index(
+      [this](net::NodeId src, net::NodeId except,
+             std::vector<net::NodeId>& out) {
+        radio_audience_->candidates(src, except, coordinator_queue_.now(),
+                                    out);
+      });
 
   if (energy_meter_) {
     // Radio joules: tx once per physical transmission, rx per delivered
@@ -289,8 +301,7 @@ void ShardedFleetRunner::build_overlay() {
       }
     }
     relay_nodes_.push_back(std::make_unique<overlay::RelayNode>(
-        coordinator_queue_, *overlay_net_, id, *stacks_[id].prover,
-        specs_.size() + 1, nc));
+        coordinator_queue_, *overlay_net_, id, *stacks_[id].prover, nc));
     relay_nodes_.back()->set_link_probe(
         [this](net::NodeId a, net::NodeId b) { return link_up(a, b); });
   }

@@ -20,7 +20,7 @@
 //    barrier instants under coordinator control, sequenced in global
 //    device-id order.
 //  * Barrier-phase work that IS parallel (the kDirect batch serve, the
-//    batched report verify, mobility's adjacency rows) is restricted to
+//    batched report verify) is restricted to
 //    order-free shapes: pure functions into disjoint per-item slots, or
 //    SPSC channels (net/shard_channels.h) whose drain order is a pure
 //    function of (domain, sequence) -- with domain counts fixed by the
@@ -49,6 +49,7 @@
 #include "overlay/relay_transport.h"
 #include "scenario/metrics.h"
 #include "swarm/provision.h"
+#include "swarm/radio_audience.h"
 
 namespace erasmus::scenario {
 
@@ -370,6 +371,8 @@ class ShardedFleetRunner {
   // kOverlay wiring: a radio network on the coordinator queue; node ids
   // are device ids, the verifier endpoint is node `fleet size`.
   std::unique_ptr<net::Network> overlay_net_;
+  /// The overlay radio's candidate source (mobility neighbour index).
+  std::unique_ptr<swarm::RadioAudience> radio_audience_;
   std::vector<std::unique_ptr<overlay::RelayNode>> relay_nodes_;
   std::unique_ptr<overlay::RelayTransport> relay_transport_;
   net::NodeId verifier_node_ = 0;

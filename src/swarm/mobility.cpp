@@ -1,10 +1,25 @@
 #include "swarm/mobility.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 namespace erasmus::swarm {
+
+namespace {
+/// Segment travel times are truncated to whole nanoseconds and never below
+/// 1 ms, so a device can outrun its drawn speed by at most a factor of
+/// 1 / (1 - 1e-6); bound it with margin.
+constexpr double kSpeedHeadroom = 1.0 + 2e-6;
+/// Absolute headroom (relative to the field) for interpolation and sqrt
+/// rounding, so a border pair the exact predicate admits is never missed.
+constexpr double kRoundingHeadroom = 1e-6;
+/// Index rebuild span: the time a device at speed_max needs to cover half
+/// a radio range. Clamped so degenerate configs still get a usable span.
+constexpr double kMinSpanSeconds = 1e-3;
+constexpr double kMaxSpanSeconds = 1e6;
+}  // namespace
 
 double distance(Point a, Point b) {
   const double dx = a.x - b.x;
@@ -12,8 +27,60 @@ double distance(Point a, Point b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+RandomWaypointMobility::CellGrid::CellGrid(double field, double reach,
+                                           size_t devices) {
+  // At most ~4 cells per device: a tiny reach on a wide field must not
+  // allocate a huge, empty grid. Wider cells only widen the superset.
+  const double max_side = std::max(
+      1.0, std::ceil(std::sqrt(4.0 * static_cast<double>(devices))));
+  if (field > 0.0) {
+    const double fit = reach > 0.0 ? std::floor(field / reach) : max_side;
+    side = static_cast<size_t>(std::clamp(fit, 1.0, max_side));
+    cell = field / static_cast<double>(side);
+  }
+  bins.resize(side * side);
+}
+
+size_t RandomWaypointMobility::CellGrid::coord(double v) const {
+  if (cell <= 0.0 || v <= 0.0) return 0;
+  const double c = std::floor(v / cell);
+  return c >= static_cast<double>(side - 1) ? side - 1
+                                            : static_cast<size_t>(c);
+}
+
+void RandomWaypointMobility::CellGrid::insert(DeviceId node, Point p) {
+  bins[coord(p.y) * side + coord(p.x)].push_back(node);
+}
+
+void RandomWaypointMobility::CellGrid::clear() {
+  for (auto& bin : bins) bin.clear();
+}
+
+template <typename F>
+void RandomWaypointMobility::CellGrid::visit(Point p, double reach,
+                                             F&& f) const {
+  const size_t x0 = coord(p.x - reach);
+  const size_t x1 = coord(p.x + reach);
+  const size_t y0 = coord(p.y - reach);
+  const size_t y1 = coord(p.y + reach);
+  for (size_t y = y0; y <= y1; ++y) {
+    for (size_t x = x0; x <= x1; ++x) {
+      for (const DeviceId node : bins[y * side + x]) f(node);
+    }
+  }
+}
+
 RandomWaypointMobility::RandomWaypointMobility(MobilityConfig config)
-    : config_(config), rng_(config.seed), segments_(config.devices) {
+    : config_(config), rng_(config.seed), segments_(config.devices),
+      span_(sim::Duration(static_cast<uint64_t>(
+          std::clamp(config.speed_max > 0.0
+                         ? config.radio_range / (2.0 * config.speed_max)
+                         : kMaxSpanSeconds,
+                     kMinSpanSeconds, kMaxSpanSeconds) *
+          1e9))),
+      index_(config.field_size, config.radio_range + slack(span_),
+             config.devices),
+      index_pos_(config.devices), binned_(config.devices, Binned::kNo) {
   if (config_.devices == 0) {
     throw std::invalid_argument("RandomWaypointMobility: need >= 1 device");
   }
@@ -22,15 +89,24 @@ RandomWaypointMobility::RandomWaypointMobility(MobilityConfig config)
   }
   // Initial positions: uniform over the field; a zero-length first segment
   // anchors each trajectory at t = 0.
-  for (auto& segs : segments_) {
+  for (DeviceId node = 0; node < config_.devices; ++node) {
     const Point p{rng_.next_double() * config_.field_size,
                   rng_.next_double() * config_.field_size};
-    segs.push_back(Segment{sim::Time::zero(), sim::Time::zero(), p, p});
+    segments_[node].push_back(
+        Segment{sim::Time::zero(), sim::Time::zero(), p, p});
+    horizons_.emplace(sim::Time::zero(), node);
   }
+}
+
+double RandomWaypointMobility::slack(sim::Duration elapsed) const {
+  return config_.speed_max * kSpeedHeadroom * elapsed.to_seconds() +
+         kRoundingHeadroom * (config_.field_size + config_.radio_range);
 }
 
 void RandomWaypointMobility::extend(DeviceId node, sim::Time until) {
   auto& segs = segments_[node];
+  if (!(segs.back().end < until)) return;
+  horizons_.erase({segs.back().end, node});
   while (segs.back().end < until) {
     const Segment& last = segs.back();
     const Point from = last.to;
@@ -50,13 +126,14 @@ void RandomWaypointMobility::extend(DeviceId node, sim::Time until) {
         static_cast<uint64_t>(std::max(dist / speed, 1e-3) * 1e9));
     segs.push_back(Segment{last.end, last.end + travel, from, to});
   }
+  horizons_.emplace(segs.back().end, node);
+  if (index_valid_ && binned_[node] == Binned::kNo) {
+    binned_[node] = Binned::kQueued;
+    index_queue_.push_back(node);
+  }
 }
 
-Point RandomWaypointMobility::position(DeviceId node, sim::Time t) {
-  if (node >= segments_.size()) {
-    throw std::out_of_range("RandomWaypointMobility: bad device id");
-  }
-  extend(node, t);
+Point RandomWaypointMobility::locate(DeviceId node, sim::Time t) const {
   const auto& segs = segments_[node];
   // Binary search for the segment containing t.
   auto it = std::upper_bound(
@@ -73,41 +150,100 @@ Point RandomWaypointMobility::position(DeviceId node, sim::Time t) {
                s.from.y + (s.to.y - s.from.y) * f};
 }
 
+Point RandomWaypointMobility::position(DeviceId node, sim::Time t) {
+  if (node >= segments_.size()) {
+    throw std::out_of_range("RandomWaypointMobility: bad device id");
+  }
+  extend(node, t);
+  return locate(node, t);
+}
+
 bool RandomWaypointMobility::connected(DeviceId a, DeviceId b, sim::Time t) {
-  return distance(position(a, t), position(b, t)) <= config_.radio_range;
+  // Two statements, not two arguments: argument evaluation order is
+  // unspecified, and each call may draw from the shared RNG.
+  const Point pb = position(b, t);
+  const Point pa = position(a, t);
+  return distance(pa, pb) <= config_.radio_range;
+}
+
+void RandomWaypointMobility::due_devices(sim::Time t,
+                                         std::vector<DeviceId>& out) const {
+  const size_t first = out.size();
+  for (const auto& [end, node] : horizons_) {
+    if (!(end < t)) break;
+    out.push_back(node);
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+}
+
+void RandomWaypointMobility::rebuild_index(sim::Time t) {
+  index_.clear();
+  index_queue_.clear();
+  index_at_ = t;
+  index_valid_ = true;
+  for (DeviceId node = 0; node < config_.devices; ++node) {
+    if (due(node, t)) {
+      binned_[node] = Binned::kNo;
+      continue;
+    }
+    binned_[node] = Binned::kYes;
+    index_pos_[node] = locate(node, t);
+    index_.insert(node, index_pos_[node]);
+  }
+}
+
+void RandomWaypointMobility::near(Point at, sim::Time t,
+                                  std::vector<DeviceId>& out) {
+  if (!index_valid_ || t < index_at_ || t - index_at_ > span_) {
+    rebuild_index(t);
+  }
+  for (const DeviceId node : index_queue_) {
+    if (due(node, index_at_)) {
+      binned_[node] = Binned::kNo;  // extended, but not as far as the bins
+      continue;
+    }
+    binned_[node] = Binned::kYes;
+    index_pos_[node] = locate(node, index_at_);
+    index_.insert(node, index_pos_[node]);
+  }
+  index_queue_.clear();
+  // A device in range at t was within radio_range + slack(t - index_at_)
+  // of `at` when binned.
+  const double reach = config_.radio_range + slack(t - index_at_);
+  const size_t first = out.size();
+  index_.visit(at, reach, [&](DeviceId node) {
+    if (distance(index_pos_[node], at) <= reach) out.push_back(node);
+  });
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
 Topology RandomWaypointMobility::snapshot(sim::Time t) {
   Topology topo(config_.devices);
   std::vector<Point> pos(config_.devices);
-  // Positions are computed sequentially even with an executor: extend()
-  // consumes the SHARED trajectory RNG lazily, and that consumption order
-  // must be a pure function of the query sequence, never of threading.
+  // Positions first, in id order: extend() consumes the SHARED trajectory
+  // RNG lazily, so the consumption order must be a pure function of the
+  // query sequence.
   for (DeviceId v = 0; v < config_.devices; ++v) pos[v] = position(v, t);
-  if (executor_ != nullptr && config_.devices > 1) {
-    // Each row's neighbor list goes into its own slot; the merge below is
-    // sequential in row order, so the adjacency bits are written in the
-    // exact order the serial loop writes them. The range predicate is the
-    // serial one verbatim (sqrt included): a squared-distance shortcut
-    // would flip borderline edges and diverge every downstream result.
-    const size_t n = config_.devices;
-    std::vector<std::vector<DeviceId>> nbrs(n);
-    executor_->run(n, [&](size_t a) {
-      for (size_t b = a + 1; b < n; ++b) {
-        if (distance(pos[a], pos[b]) <= config_.radio_range) {
-          nbrs[a].push_back(static_cast<DeviceId>(b));
-        }
+  // Same binning as the neighbour index, over exact positions at t. The
+  // range predicate is the brute-force one verbatim (sqrt included): a
+  // squared-distance shortcut would flip borderline edges. Each row's
+  // neighbours are marked in a bitset and added in ascending order, so
+  // edges go in in the brute-force (a, b) order.
+  const double reach = config_.radio_range + slack(sim::Duration());
+  CellGrid grid(config_.field_size, reach, config_.devices);
+  for (DeviceId v = 0; v < config_.devices; ++v) grid.insert(v, pos[v]);
+  std::vector<uint64_t> row((config_.devices + 63) / 64, 0);
+  for (DeviceId a = 0; a < config_.devices; ++a) {
+    grid.visit(pos[a], reach, [&](DeviceId b) {
+      if (b > a && distance(pos[a], pos[b]) <= config_.radio_range) {
+        row[b / 64] |= uint64_t{1} << (b % 64);
       }
     });
-    for (DeviceId a = 0; a < n; ++a) {
-      for (const DeviceId b : nbrs[a]) topo.add_edge(a, b);
-    }
-    return topo;
-  }
-  for (DeviceId a = 0; a < config_.devices; ++a) {
-    for (DeviceId b = a + 1; b < config_.devices; ++b) {
-      if (distance(pos[a], pos[b]) <= config_.radio_range) {
-        topo.add_edge(a, b);
+    for (size_t w = (a + 1) / 64; w < row.size(); ++w) {
+      for (; row[w] != 0; row[w] &= row[w] - 1) {
+        topo.add_edge(a, static_cast<DeviceId>(
+                             w * 64 + static_cast<size_t>(
+                                          std::countr_zero(row[w]))));
       }
     }
   }

@@ -321,7 +321,7 @@ struct AggRig {
           attest::ProverConfig{});
       const net::NodeId node = network.add_node({});
       nodes.push_back(std::make_unique<overlay::RelayNode>(
-          queue, network, node, *prover, n + 1, node_config));
+          queue, network, node, *prover, node_config));
       attest::DeviceRecord record;
       record.key = device_key(id);
       record.set_golden(crypto::Hash::digest(
@@ -557,7 +557,7 @@ TEST(AggregateDark, QueuedAggregatePurgedUnderItsOwnCounter) {
   nc.aggregation.window = Duration::millis(20);
   // Long serialization: nothing leaves the queue before the lights go out.
   nc.forward_spacing = Duration::millis(500);
-  overlay::RelayNode node(queue, network, head, prover, 3, nc);
+  overlay::RelayNode node(queue, network, head, prover, nc);
 
   size_t aggregates_heard = 0;
   network.set_handler(sender, [&](const net::Datagram& d) {
@@ -636,7 +636,7 @@ TEST(AggregateDark, HeldCombinerPurgedWhenDarkBeforeFlush) {
   nc.aggregation.election = {ElectionMode::kDepthBand, 1};
   nc.aggregation.window = Duration::millis(200);
   nc.forward_spacing = Duration::millis(500);
-  overlay::RelayNode node(queue, network, head, prover, 3, nc);
+  overlay::RelayNode node(queue, network, head, prover, nc);
 
   prover.start();
   queue.run_until(queue.now() + Duration::minutes(11));

@@ -184,6 +184,57 @@ TEST(Network, BroadcastDrawsLossPerDestination) {
   EXPECT_NEAR(static_cast<double>(received) / 4000.0, 0.75, 0.03);
 }
 
+TEST(Network, FloodOffersEveryoneButSenderAndExcept) {
+  EventQueue q;
+  Network net(q, Duration::millis(1));
+  std::vector<NodeId> heard;
+  for (int i = 0; i < 5; ++i) {
+    net.add_node([&](const Datagram& d) { heard.push_back(d.dst); });
+  }
+  size_t tx_charges = 0;
+  net.set_energy_tap([&](NodeId node, size_t bytes, bool tx) {
+    if (!tx) return;
+    ++tx_charges;
+    EXPECT_EQ(node, 2u);
+    EXPECT_EQ(bytes, 3u);
+  });
+  net.flood(/*src=*/2, /*except=*/4, Bytes{1, 2, 3});
+  net.flood(/*src=*/2, /*except=*/2, Bytes{4, 5, 6});  // nobody excepted
+  q.run();
+  EXPECT_EQ(heard, (std::vector<NodeId>{0, 1, 3, 0, 1, 3, 4}));
+  EXPECT_EQ(tx_charges, 2u);
+  EXPECT_EQ(net.stats().phys_tx_bytes, 6u);
+  EXPECT_THROW(net.flood(9, 0, Bytes{1}), std::out_of_range);
+}
+
+TEST(Network, FloodChargesTheAudienceNotTheCandidates) {
+  // The radio keys once for whoever is listening; an index that finds no
+  // candidate changes the offered load, never the transmission.
+  EventQueue q;
+  Network net(q, Duration::millis(1));
+  for (int i = 0; i < 4; ++i) net.add_node({});
+  size_t index_calls = 0;
+  net.set_radio_index([&](NodeId src, NodeId except, std::vector<NodeId>&) {
+    ++index_calls;
+    EXPECT_EQ(src, 1u);
+    EXPECT_EQ(except, 3u);
+  });
+  net.flood(1, 3, Bytes{7, 7});
+  EXPECT_EQ(index_calls, 1u);
+  EXPECT_EQ(net.stats().phys_tx_bytes, 2u);
+  EXPECT_EQ(net.stats().sent, 0u);
+
+  // A lone node has no audience: no transmission, no index call.
+  EventQueue q2;
+  Network lone(q2, Duration::millis(1));
+  lone.add_node({});
+  lone.set_radio_index(
+      [&](NodeId, NodeId, std::vector<NodeId>&) { ++index_calls; });
+  lone.flood(0, 0, Bytes{1});
+  EXPECT_EQ(index_calls, 1u);
+  EXPECT_EQ(lone.stats().phys_tx_bytes, 0u);
+}
+
 TEST(Network, InFlightOrderPreservedPerLink) {
   EventQueue q;
   Network net(q, Duration::millis(3));

@@ -211,7 +211,7 @@ TEST(Seda, HeadToHeadUnderMobilityErasmusWins) {
       for (uint32_t id = 0; id < 10; ++id) {
         rig.provers[id]->start(Duration::seconds(10 + id));
         nodes.push_back(std::make_unique<overlay::RelayNode>(
-            rig.queue, rig.network, id, *rig.provers[id], 11));
+            rig.queue, rig.network, id, *rig.provers[id]));
       }
       overlay::RelayCollector collector(rig.queue, rig.network,
                                         rig.collector_node, rig.directory,

@@ -3,6 +3,10 @@
 // the full-device Fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "swarm/fleet.h"
 #include "swarm/mobility.h"
 #include "swarm/protocols.h"
@@ -190,6 +194,166 @@ TEST(Mobility, SnapshotMatchesPairwiseConnectivity) {
   for (DeviceId a = 0; a < 6; ++a) {
     for (DeviceId b = a + 1; b < 6; ++b) {
       EXPECT_EQ(topo.connected(a, b), m.connected(a, b, t));
+    }
+  }
+}
+
+TEST(Mobility, ConnectedExtendsBBeforeA) {
+  // Both trajectories are due, so connected() draws for both from the
+  // shared RNG; the draw order is fixed (b, then a), whatever the
+  // compiler's argument evaluation order.
+  MobilityConfig cfg;
+  cfg.devices = 6;
+  cfg.seed = 21;
+  RandomWaypointMobility joint(cfg), b_first(cfg), a_first(cfg);
+  const Time t = Time::zero() + Duration::minutes(20);
+  ASSERT_TRUE(joint.due(2, t));
+  ASSERT_TRUE(joint.due(4, t));
+  joint.connected(2, 4, t);
+  b_first.position(4, t);
+  b_first.position(2, t);
+  a_first.position(2, t);
+  a_first.position(4, t);
+  bool orders_differ = false;
+  for (int minutes = 20; minutes <= 120; minutes += 20) {
+    const Time later = Time::zero() + Duration::minutes(minutes);
+    for (DeviceId v = 0; v < cfg.devices; ++v) {
+      const Point p = joint.position(v, later);
+      const Point q = b_first.position(v, later);
+      EXPECT_EQ(p.x, q.x) << "device " << v << " at " << minutes << "m";
+      EXPECT_EQ(p.y, q.y) << "device " << v << " at " << minutes << "m";
+      const Point r = a_first.position(v, later);
+      orders_differ = orders_differ || p.x != r.x || p.y != r.y;
+    }
+  }
+  EXPECT_TRUE(orders_differ) << "the two draw orders must be told apart";
+}
+
+// Field shapes for the neighbour-index properties: the usual swarm, a
+// static one, a fast one, a radio wider than the field and a tiny range.
+std::vector<MobilityConfig> index_configs() {
+  std::vector<MobilityConfig> out;
+  const auto make = [](double field, double range, double vmin, double vmax,
+                       uint64_t seed) {
+    MobilityConfig c;
+    c.devices = 90;
+    c.field_size = field;
+    c.radio_range = range;
+    c.speed_min = vmin;
+    c.speed_max = vmax;
+    c.seed = seed;
+    return c;
+  };
+  out.push_back(make(300.0, 60.0, 6.0, 12.0, 1));
+  out.push_back(make(150.0, 30.0, 0.0, 0.0, 2));
+  out.push_back(make(200.0, 25.0, 20.0, 40.0, 3));
+  out.push_back(make(50.0, 80.0, 1.0, 3.0, 4));
+  out.push_back(make(400.0, 2.0, 0.5, 2.0, 5));
+  return out;
+}
+
+TEST(Mobility, NeighbourIndexIsSupersetOfBruteForce) {
+  for (const MobilityConfig& cfg : index_configs()) {
+    SCOPED_TRACE("range " + std::to_string(cfg.radio_range) + " speed " +
+                 std::to_string(cfg.speed_max));
+    RandomWaypointMobility m(cfg);
+    sim::Rng pick(cfg.seed * 97);
+    const Duration span = m.index_span();
+    const double f = cfg.field_size;
+    Time t = Time::zero();
+    std::vector<DeviceId> near;
+    std::vector<DeviceId> due;
+    for (int step = 0; step < 60; ++step) {
+      // A jump past the span forces a rebuild at t; the next query lands
+      // exactly at the span's end, the widest slack; then random steps
+      // walk through the span.
+      if (step % 10 == 0) {
+        t = t + span + span;
+      } else if (step % 10 == 1) {
+        t = t + span;
+      } else {
+        t = t + Duration(1 + pick.next_below(span.ns() / 4 + 1));
+      }
+      due.clear();
+      m.due_devices(t, due);
+      EXPECT_TRUE(std::is_sorted(due.begin(), due.end()));
+      for (DeviceId v = 0; v < cfg.devices; ++v) {
+        EXPECT_EQ(std::binary_search(due.begin(), due.end(), v), m.due(v, t));
+      }
+      // Brute force first: it generates every trajectory through t.
+      std::vector<Point> pos(cfg.devices);
+      for (DeviceId v = 0; v < cfg.devices; ++v) pos[v] = m.position(v, t);
+      std::vector<Point> centres = {
+          {0.0, 0.0}, {f, f}, {0.0, f / 2}, {f, 0.0}, {f / 2, f},
+          {pick.next_double() * f, pick.next_double() * f}};
+      for (int k = 0; k < 4; ++k) {
+        centres.push_back(pos[pick.next_below(cfg.devices)]);
+      }
+      for (const Point c : centres) {
+        near.clear();
+        m.near(c, t, near);
+        EXPECT_TRUE(std::is_sorted(near.begin(), near.end()));
+        for (DeviceId v = 0; v < cfg.devices; ++v) {
+          if (distance(pos[v], c) <= cfg.radio_range) {
+            EXPECT_TRUE(std::binary_search(near.begin(), near.end(), v))
+                << "device " << v << " in range of (" << c.x << ", " << c.y
+                << ") at step " << step << " but not a candidate";
+          }
+        }
+      }
+      // Device centres agree with connected() itself.
+      const DeviceId a = static_cast<DeviceId>(pick.next_below(cfg.devices));
+      near.clear();
+      m.near(pos[a], t, near);
+      for (DeviceId v = 0; v < cfg.devices; ++v) {
+        if (m.connected(a, v, t)) {
+          EXPECT_TRUE(std::binary_search(near.begin(), near.end(), v));
+        }
+      }
+    }
+  }
+}
+
+TEST(Mobility, NeighbourIndexNeverDraws) {
+  // near() reads generated trajectories only: a twin that never asks
+  // the index sees the same trajectories afterwards.
+  MobilityConfig cfg = index_configs()[2];
+  RandomWaypointMobility asked(cfg), twin(cfg);
+  const Time t = Time::zero() + Duration::minutes(3);
+  asked.position(0, t);
+  twin.position(0, t);
+  std::vector<DeviceId> near;
+  asked.near(asked.position(0, t), t, near);
+  asked.near(Point{}, t + Duration::minutes(5), near);
+  for (DeviceId v = 0; v < cfg.devices; ++v) {
+    EXPECT_EQ(asked.due(v, t), twin.due(v, t));
+    const Point p = asked.position(v, t + Duration::minutes(9));
+    const Point q = twin.position(v, t + Duration::minutes(9));
+    EXPECT_EQ(p.x, q.x);
+    EXPECT_EQ(p.y, q.y);
+  }
+}
+
+TEST(Mobility, GridSnapshotEqualsBruteForce) {
+  for (const MobilityConfig& cfg : index_configs()) {
+    RandomWaypointMobility grid(cfg), brute(cfg);
+    for (int minutes : {0, 7, 30, 95}) {
+      const Time t = Time::zero() + Duration::minutes(minutes);
+      const Topology topo = grid.snapshot(t);
+      // The reference: positions in id order (the same draws), then the
+      // O(n^2) pairwise predicate.
+      std::vector<Point> pos(cfg.devices);
+      for (DeviceId v = 0; v < cfg.devices; ++v) pos[v] = brute.position(v, t);
+      size_t edges = 0;
+      for (DeviceId a = 0; a < cfg.devices; ++a) {
+        for (DeviceId b = a + 1; b < cfg.devices; ++b) {
+          const bool in_range = distance(pos[a], pos[b]) <= cfg.radio_range;
+          edges += in_range ? 1 : 0;
+          EXPECT_EQ(topo.connected(a, b), in_range)
+              << a << "-" << b << " at " << minutes << "m";
+        }
+      }
+      EXPECT_EQ(topo.edge_count(), edges);
     }
   }
 }

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Gate a bench run against its committed BENCH_*.json baseline.
 
-Usage: check_bench.py BASELINE CANDIDATE [--tolerance FRAC]
+Usage: check_bench.py BASELINE CANDIDATE
        check_bench.py --self-test
 
 Quantities are compared by their mean. Two classes:
 
 * Simulation-derived quantities (responses, collected, flood_tx, hop
-  counts, virtual-time...) are deterministic for a fixed seed, so any
-  drift beyond the tolerance -- regression OR "improvement" -- fails the
+  counts, virtual-time...) are deterministic for a fixed seed, so they
+  are gated EXACTLY: a count (an integral baseline mean) must match to
+  the unit, any other value within 1e-9 relative (float formatting
+  headroom only). Any drift -- regression OR "improvement" -- fails the
   gate: behaviour changed and the baseline must be regenerated
   deliberately (run the bench, commit the new JSON alongside the change
   that explains it).
@@ -40,6 +42,9 @@ import sys
 # which are wall-clock ratios even though they do not end in _ms.
 WALL_CLOCK = re.compile(r"(_ms$|_per_s$|_share$|wall|build|barrier)")
 
+# Relative headroom for non-integral simulation-derived means.
+FLOAT_REL_TOL = 1e-9
+
 
 class BenchFormatError(Exception):
     """A BENCH json that cannot be gated (malformed, not a bench doc)."""
@@ -67,7 +72,14 @@ def load(path):
     return means
 
 
-def gate(baseline, candidate, tolerance, baseline_name="baseline",
+def matches(base, cand):
+    """Exact match for counts, 1e-9 relative for everything else."""
+    if float(base).is_integer():
+        return cand == base
+    return abs(cand - base) <= FLOAT_REL_TOL * abs(base)
+
+
+def gate(baseline, candidate, baseline_name="baseline",
          candidate_name="candidate", out=print):
     """Compares candidate means against baseline means. Returns the list
     of failure strings (empty = gate passed)."""
@@ -91,11 +103,13 @@ def gate(baseline, candidate, tolerance, baseline_name="baseline",
             out(f"  [wall ] {name}: {base:g} -> {cand:g} "
                 f"({drift:+.1%} drift, informational)")
             continue
-        if drift > tolerance:
-            failures.append(f"{name}: {base:g} -> {cand:g} ({drift:.1%})")
-            out(f"  [FAIL ] {name}: {base:g} -> {cand:g} ({drift:.1%})")
+        if not matches(base, cand):
+            failures.append(f"{name}: {base!r} -> {cand!r} ({drift:.3g} "
+                            "relative)")
+            out(f"  [FAIL ] {name}: {base!r} -> {cand!r} ({drift:.3g} "
+                "relative)")
         else:
-            out(f"  [ ok  ] {name}: {base:g} -> {cand:g}")
+            out(f"  [ ok  ] {name}: {base:g}")
     extra = [name for name in candidate if name not in baseline]
     for name in extra:
         if not WALL_CLOCK.search(name):
@@ -115,8 +129,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", nargs="?")
     parser.add_argument("candidate", nargs="?")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="allowed relative drift (default 0.10)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the embedded unit tests and exit")
     args = parser.parse_args()
@@ -133,9 +145,9 @@ def main():
         print(f"error: {e}")
         return 1
 
-    print(f"gating {args.candidate} against {args.baseline} "
-          f"(tolerance {args.tolerance:.0%})")
-    failures = gate(baseline, candidate, args.tolerance,
+    print(f"gating {args.candidate} against {args.baseline} (counts "
+          f"exact, other values within {FLOAT_REL_TOL:g} relative)")
+    failures = gate(baseline, candidate,
                     baseline_name=args.baseline,
                     candidate_name=args.candidate)
     if failures:
@@ -199,24 +211,56 @@ def self_test():
     class GateTest(unittest.TestCase):
         def test_identical_passes(self):
             self.assertEqual(
-                gate({"responses": 10.0}, {"responses": 10.0}, 0.1,
+                gate({"responses": 10.0}, {"responses": 10.0},
                      out=null), [])
 
-        def test_drift_beyond_tolerance_fails(self):
-            failures = gate({"responses": 10.0}, {"responses": 15.0}, 0.1,
+        def test_drift_fails(self):
+            failures = gate({"responses": 10.0}, {"responses": 15.0},
                             out=null)
             self.assertEqual(len(failures), 1)
             self.assertIn("responses", failures[0])
+
+        def test_one_count_drift_fails_by_name(self):
+            # 9 -> 8 dark devices out of thousands of quantities: the old
+            # 10% tolerance hid drifts like this one.
+            failures = gate(
+                {"lossy_fast_budget_tm20_flood_dark": 8.0,
+                 "agg10k_collected": 10000.0},
+                {"lossy_fast_budget_tm20_flood_dark": 9.0,
+                 "agg10k_collected": 10000.0}, out=null)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("lossy_fast_budget_tm20_flood_dark", failures[0])
+            failures = gate({"noagg10k_offers": 4012345.0},
+                            {"noagg10k_offers": 4012346.0}, out=null)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("noagg10k_offers", failures[0])
+
+        def test_float_within_1e9_relative_passes(self):
+            base = 1234.5678901
+            self.assertEqual(
+                gate({"hop_mean": base}, {"hop_mean": base * (1 + 5e-10)},
+                     out=null), [])
+            failures = gate({"hop_mean": base},
+                            {"hop_mean": base * (1 + 1e-8)}, out=null)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("hop_mean", failures[0])
+
+        def test_count_allows_no_float_headroom(self):
+            # An integral baseline is a count: even a sub-1e-9 wobble is
+            # not that count.
+            self.assertEqual(
+                len(gate({"radio_bytes": 4e9}, {"radio_bytes": 4e9 + 1},
+                         out=null)), 1)
 
         def test_improvement_also_fails(self):
             # Sim-derived drift fails in BOTH directions: "better" numbers
             # still mean behaviour changed under a fixed seed.
             failures = gate({"unreachable": 10.0}, {"unreachable": 0.0},
-                            0.1, out=null)
+                            out=null)
             self.assertEqual(len(failures), 1)
 
         def test_missing_sim_quantity_named(self):
-            failures = gate({"responses": 10.0}, {}, 0.1,
+            failures = gate({"responses": 10.0}, {},
                             baseline_name="BENCH_a.json",
                             candidate_name="BENCH_b.json", out=null)
             self.assertEqual(len(failures), 1)
@@ -226,11 +270,11 @@ def self_test():
 
         def test_missing_wall_clock_ok(self):
             self.assertEqual(
-                gate({"t8_round_wall_ms": 9.0}, {}, 0.1, out=null), [])
+                gate({"t8_round_wall_ms": 9.0}, {}, out=null), [])
 
         def test_wall_clock_drift_informational(self):
             self.assertEqual(
-                gate({"t1_build_ms": 10.0}, {"t1_build_ms": 99.0}, 0.1,
+                gate({"t1_build_ms": 10.0}, {"t1_build_ms": 99.0},
                      out=null), [])
 
         def test_barrier_wait_share_is_wall_clock(self):
@@ -241,7 +285,7 @@ def self_test():
             self.assertTrue(WALL_CLOCK.search("t8_coord_drain_ms"))
             self.assertEqual(
                 gate({"barrier_wait_share": 0.2},
-                     {"barrier_wait_share": 0.9}, 0.1, out=null), [])
+                     {"barrier_wait_share": 0.9}, out=null), [])
 
         def test_sim_quantities_still_gated(self):
             for name in ("collected", "healthy", "responses", "flood_tx",
@@ -250,13 +294,13 @@ def self_test():
 
         def test_extra_quantity_is_not_failure(self):
             self.assertEqual(
-                gate({}, {"brand_new": 1.0}, 0.1, out=null), [])
+                gate({}, {"brand_new": 1.0}, out=null), [])
 
         def test_zero_baseline_exact_match_required(self):
             self.assertEqual(
-                gate({"drops": 0.0}, {"drops": 0.0}, 0.1, out=null), [])
+                gate({"drops": 0.0}, {"drops": 0.0}, out=null), [])
             self.assertEqual(
-                len(gate({"drops": 0.0}, {"drops": 1.0}, 0.1, out=null)), 1)
+                len(gate({"drops": 0.0}, {"drops": 1.0}, out=null)), 1)
 
     stream = io.StringIO()
     suite = unittest.TestSuite()
