@@ -32,10 +32,27 @@ std::unique_ptr<Hash> Hash::create(HashAlgo algo) {
   throw std::invalid_argument("Hash::create: unknown algorithm");
 }
 
+namespace {
+
+template <class H>
+Bytes digest_with(ByteView data) {
+  H h;
+  h.update(data);
+  return h.finalize();
+}
+
+}  // namespace
+
 Bytes Hash::digest(HashAlgo algo, ByteView data) {
-  auto h = create(algo);
-  h->update(data);
-  return h->finalize();
+  switch (algo) {
+    case HashAlgo::kSha1:
+      return digest_with<Sha1>(data);
+    case HashAlgo::kSha256:
+      return digest_with<Sha256>(data);
+    case HashAlgo::kBlake2s:
+      return digest_with<Blake2s>(data);
+  }
+  throw std::invalid_argument("Hash::digest: unknown algorithm");
 }
 
 }  // namespace erasmus::crypto

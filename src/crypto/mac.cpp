@@ -78,9 +78,18 @@ std::unique_ptr<Mac> Mac::create(MacAlgo algo, ByteView key) {
 }
 
 Bytes Mac::compute(MacAlgo algo, ByteView key, ByteView message) {
-  auto mac = create(algo, key);
-  mac->update(message);
-  return mac->finalize();
+  switch (algo) {
+    case MacAlgo::kHmacSha1:
+      return Hmac::compute(HashAlgo::kSha1, key, message);
+    case MacAlgo::kHmacSha256:
+      return Hmac::compute(HashAlgo::kSha256, key, message);
+    case MacAlgo::kKeyedBlake2s: {
+      Blake2s hash(key, Blake2s::kMaxDigestSize);
+      hash.update(message);
+      return hash.finalize();
+    }
+  }
+  throw std::invalid_argument("Mac::compute: unknown algorithm");
 }
 
 bool Mac::verify(MacAlgo algo, ByteView key, ByteView message, ByteView tag) {

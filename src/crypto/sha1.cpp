@@ -92,6 +92,12 @@ void Sha1::update(ByteView data) {
 }
 
 Bytes Sha1::finalize() {
+  Bytes out(kDigestSize);
+  finalize_into(std::span<uint8_t, kDigestSize>(out.data(), kDigestSize));
+  return out;
+}
+
+void Sha1::finalize_into(std::span<uint8_t, kDigestSize> out) {
   const uint64_t bit_len = total_bytes_ * 8;
   // Padding: 0x80, zeros, 64-bit big-endian length.
   uint8_t pad[kBlockSize * 2] = {0x80};
@@ -104,10 +110,8 @@ Bytes Sha1::finalize() {
   }
   update(ByteView(len_be, 8));
 
-  Bytes out(kDigestSize);
   for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);
   reset();
-  return out;
 }
 
 }  // namespace erasmus::crypto

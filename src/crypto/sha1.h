@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "crypto/hash.h"
 
@@ -23,6 +24,9 @@ class Sha1 final : public Hash {
   void update(ByteView data) override;
   Bytes finalize() override;
   void reset() override;
+
+  /// finalize() into a caller-owned buffer, without allocating.
+  void finalize_into(std::span<uint8_t, kDigestSize> out);
 
   size_t digest_size() const override { return kDigestSize; }
   size_t block_size() const override { return kBlockSize; }

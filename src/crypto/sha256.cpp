@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <bit>
 
+#include "crypto/sha256_kernels.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace erasmus::crypto {
 
 namespace {
@@ -45,7 +52,153 @@ inline uint32_t small_sigma1(uint32_t x) {
   return std::rotr(x, 17) ^ std::rotr(x, 19) ^ (x >> 10);
 }
 
+#if defined(__x86_64__)
+
+// Rounds 4g..4g+3 of the SHA-NI compression (Intel's SHA extensions
+// whitepaper, with the round constants added to the schedule words
+// in-register). `w[g % 4]` holds W[4g..4g+3]; the schedule for later groups
+// is advanced in place: sha256msg2 finishes W[4g+4..4g+7] (groups 3..14)
+// and sha256msg1 starts W[4g+12..4g+15] (groups 1..12).
+template <int G>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void
+shani_rounds4(__m128i& abef, __m128i& cdgh, __m128i (&w)[4]) {
+  __m128i& cur = w[G % 4];
+  __m128i& prev = w[(G + 3) % 4];
+  const __m128i msg = _mm_add_epi32(
+      cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * G)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+  if constexpr (G >= 3 && G <= 14) {
+    __m128i& next = w[(G + 1) % 4];
+    next = _mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4));
+    next = _mm_sha256msg2_epu32(next, cur);
+  }
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+  if constexpr (G >= 1 && G <= 12) prev = _mm_sha256msg1_epu32(prev, cur);
+}
+
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    uint32_t* state, const uint8_t* blocks, size_t n_blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  auto* state_lo = reinterpret_cast<__m128i*>(state);
+  auto* state_hi = reinterpret_cast<__m128i*>(state + 4);
+
+  // The rounds instruction wants the chaining value as ABEF / CDGH.
+  __m128i tmp = _mm_shuffle_epi32(_mm_loadu_si128(state_lo), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(_mm_loadu_si128(state_hi), 0x1B);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          byte_swap);
+    }
+    shani_rounds4<0>(abef, cdgh, w);
+    shani_rounds4<1>(abef, cdgh, w);
+    shani_rounds4<2>(abef, cdgh, w);
+    shani_rounds4<3>(abef, cdgh, w);
+    shani_rounds4<4>(abef, cdgh, w);
+    shani_rounds4<5>(abef, cdgh, w);
+    shani_rounds4<6>(abef, cdgh, w);
+    shani_rounds4<7>(abef, cdgh, w);
+    shani_rounds4<8>(abef, cdgh, w);
+    shani_rounds4<9>(abef, cdgh, w);
+    shani_rounds4<10>(abef, cdgh, w);
+    shani_rounds4<11>(abef, cdgh, w);
+    shani_rounds4<12>(abef, cdgh, w);
+    shani_rounds4<13>(abef, cdgh, w);
+    shani_rounds4<14>(abef, cdgh, w);
+    shani_rounds4<15>(abef, cdgh, w);
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(state_lo, _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(state_hi, _mm_alignr_epi8(cdgh, tmp, 8));
+}
+
+bool cpu_has_shani() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3 = (ecx >> 9) & 1;
+  const bool sse41 = (ecx >> 19) & 1;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx >> 29) & 1;
+  return ssse3 && sse41 && sha;
+}
+
+#endif  // __x86_64__
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_scalar(uint32_t* state, const uint8_t* blocks,
+                            size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) +
+             w[i - 16];
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+             e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t t1 =
+          h + big_sigma1(e) + ((e & f) ^ (~e & g)) + kK[i] + w[i];
+      const uint32_t t2 = big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Sha256Compress sha256_shani_kernel() {
+#if defined(__x86_64__)
+  static const bool supported = cpu_has_shani();
+  if (supported) return compress_shani;
+#endif
+  return nullptr;
+}
+
+Sha256Compress sha256_kernel() {
+  static const Sha256Compress kernel = [] {
+    const Sha256Compress shani = sha256_shani_kernel();
+    return shani != nullptr ? shani : sha256_compress_scalar;
+  }();
+  return kernel;
+}
+
+const char* sha256_kernel_name() {
+  return sha256_kernel() == sha256_compress_scalar ? "scalar" : "sha-ni";
+}
+
+}  // namespace detail
 
 void Sha256::reset() {
   state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
@@ -53,40 +206,6 @@ void Sha256::reset() {
   total_bytes_ = 0;
   buffer_len_ = 0;
   buffer_.fill(0);
-}
-
-void Sha256::process_block(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) +
-           w[i - 16];
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-           e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t t1 = h + big_sigma1(e) + ((e & f) ^ (~e & g)) + kK[i] + w[i];
-    const uint32_t t2 = big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::update(ByteView data) {
@@ -98,13 +217,15 @@ void Sha256::update(ByteView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      detail::sha256_kernel()(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  const size_t whole_blocks = (data.size() - offset) / kBlockSize;
+  if (whole_blocks > 0) {
+    detail::sha256_kernel()(state_.data(), data.data() + offset,
+                            whole_blocks);
+    offset += whole_blocks * kBlockSize;
   }
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
@@ -113,6 +234,12 @@ void Sha256::update(ByteView data) {
 }
 
 Bytes Sha256::finalize() {
+  Bytes out(kDigestSize);
+  finalize_into(std::span<uint8_t, kDigestSize>(out.data(), kDigestSize));
+  return out;
+}
+
+void Sha256::finalize_into(std::span<uint8_t, kDigestSize> out) {
   const uint64_t bit_len = total_bytes_ * 8;
   uint8_t pad[kBlockSize * 2] = {0x80};
   const size_t rem = static_cast<size_t>(total_bytes_ % kBlockSize);
@@ -124,10 +251,8 @@ Bytes Sha256::finalize() {
   }
   update(ByteView(len_be, 8));
 
-  Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
   reset();
-  return out;
 }
 
 }  // namespace erasmus::crypto

@@ -2,6 +2,10 @@
 // tests for the Mac abstraction used by the measurement code.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/hex.h"
 #include "crypto/hmac.h"
 #include "crypto/mac.h"
@@ -54,6 +58,92 @@ TEST(HmacSha256, LongKeyIsHashedFirst) {
                              "Key First")),
       hex("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"));
 }
+
+TEST(HmacSha256, Rfc4231Case7LongKeyAndData) {
+  const Bytes key(131, 0xaa);
+  EXPECT_EQ(
+      Hmac::compute(
+          HashAlgo::kSha256, key,
+          bytes_of("This is a test using a larger than block-size key and a "
+                   "larger than block-size data. The key needs to be hashed "
+                   "before being used by the HMAC algorithm.")),
+      hex("9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"));
+}
+
+TEST(Hmac, RejectsHashWithoutHmacConstruction) {
+  EXPECT_THROW(Hmac(HashAlgo::kBlake2s, bytes_of("key")),
+               std::invalid_argument);
+}
+
+// RFC 2104 written out with the streaming Hash interface:
+// H((K' ^ opad) || H((K' ^ ipad) || m)), K' = key, or H(key) if longer
+// than a block, zero-padded to a block.
+Bytes reference_hmac(HashAlgo algo, ByteView key, ByteView message) {
+  auto h = Hash::create(algo);
+  Bytes k(key.begin(), key.end());
+  if (k.size() > h->block_size()) k = Hash::digest(algo, k);
+  k.resize(h->block_size(), 0x00);
+  Bytes pad(k.size());
+  for (size_t i = 0; i < k.size(); ++i) pad[i] = k[i] ^ 0x36;
+  h->update(pad);
+  h->update(message);
+  const Bytes inner = h->finalize();
+  for (size_t i = 0; i < k.size(); ++i) pad[i] = k[i] ^ 0x5c;
+  h->update(pad);
+  h->update(inner);
+  return h->finalize();
+}
+
+// Property: around the block-size key boundary (hashed above 64 bytes,
+// zero-padded at or below), the one-shot MAC, the verifier and one streamed
+// Hmac reused across several messages all agree with the RFC formula. The
+// reuse exercises the restart from the keyed midstates.
+struct KeyLengthCase {
+  MacAlgo mac;
+  HashAlgo hash;
+  size_t key_len;
+};
+
+class HmacKeyLengthProperty : public ::testing::TestWithParam<KeyLengthCase> {
+};
+
+TEST_P(HmacKeyLengthProperty, OneShotVerifyAndReusedStreamAgree) {
+  const auto& p = GetParam();
+  Bytes key(p.key_len);
+  for (size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<uint8_t>(i * 29 + 11);
+  }
+  Hmac streamed(p.hash, key);
+  const std::vector<Bytes> messages = {
+      bytes_of(""), bytes_of("t=42|digest"), Bytes(55, 0x5a), Bytes(56, 0xa5),
+      Bytes(200, 0x01)};
+  for (const Bytes& msg : messages) {
+    const Bytes tag = Mac::compute(p.mac, key, msg);
+    EXPECT_EQ(tag, reference_hmac(p.hash, key, msg)) << msg.size();
+    EXPECT_TRUE(Mac::verify(p.mac, key, msg, tag)) << msg.size();
+    const size_t half = msg.size() / 2;
+    streamed.update(ByteView(msg).first(half));
+    streamed.update(ByteView(msg).subspan(half));
+    EXPECT_EQ(streamed.finalize(), tag) << msg.size();
+  }
+}
+
+std::vector<KeyLengthCase> key_length_cases() {
+  std::vector<KeyLengthCase> cases;
+  for (size_t len : {0ul, 63ul, 64ul, 65ul, 131ul}) {
+    cases.push_back({MacAlgo::kHmacSha1, HashAlgo::kSha1, len});
+    cases.push_back({MacAlgo::kHmacSha256, HashAlgo::kSha256, len});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockBoundaryKeys, HmacKeyLengthProperty,
+    ::testing::ValuesIn(key_length_cases()),
+    [](const ::testing::TestParamInfo<KeyLengthCase>& info) {
+      const char* hash = info.param.hash == HashAlgo::kSha1 ? "Sha1" : "Sha256";
+      return std::string(hash) + "_key" + std::to_string(info.param.key_len);
+    });
 
 TEST(Hmac, StreamingEqualsOneShot) {
   Hmac mac(HashAlgo::kSha256, bytes_of("key"));

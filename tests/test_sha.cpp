@@ -2,11 +2,19 @@
 //
 // KATs are the FIPS 180 / RFC examples ("abc", empty string, two-block
 // message, million 'a's) plus streaming-equivalence and reuse properties.
+// Each SHA-256 compression kernel is also run on its own against the KATs,
+// and the SHA-NI kernel against the scalar reference on random inputs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <random>
+#include <string>
 
 #include "common/hex.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 
 namespace erasmus::crypto {
 namespace {
@@ -97,6 +105,120 @@ TEST(HashNames, AreHumanReadable) {
   EXPECT_EQ(to_string(HashAlgo::kSha1), "SHA-1");
   EXPECT_EQ(to_string(HashAlgo::kSha256), "SHA-256");
   EXPECT_EQ(to_string(HashAlgo::kBlake2s), "BLAKE2s");
+}
+
+// --- SHA-256 compression kernels ---------------------------------------------
+
+using detail::Sha256Compress;
+
+constexpr std::array<uint32_t, 8> kSha256Iv = {
+    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+
+// SHA-256 of `msg` with all padded blocks passed to `kernel` in one call,
+// bypassing Sha256 and its dispatch.
+Bytes digest_with_kernel(Sha256Compress kernel, ByteView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bit_len = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bit_len >> (8 * i)));
+  }
+  std::array<uint32_t, 8> state = kSha256Iv;
+  kernel(state.data(), padded.data(), padded.size() / 64);
+  Bytes out;
+  for (uint32_t word : state) {
+    for (int i = 3; i >= 0; --i) {
+      out.push_back(static_cast<uint8_t>(word >> (8 * i)));
+    }
+  }
+  return out;
+}
+
+void expect_fips180_vectors(Sha256Compress kernel) {
+  EXPECT_EQ(
+      digest_with_kernel(kernel, bytes_of("abc")),
+      hex("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"));
+  EXPECT_EQ(
+      digest_with_kernel(kernel, bytes_of("")),
+      hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"));
+  EXPECT_EQ(
+      digest_with_kernel(
+          kernel, bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmno"
+                           "mnopnopq")),
+      hex("248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"));
+  EXPECT_EQ(
+      digest_with_kernel(
+          kernel, bytes_of("abcdefghbcdefghicdefghijdefghijkefghijklfghijklm"
+                           "ghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrs"
+                           "mnopqrstnopqrstu")),
+      hex("cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"));
+  EXPECT_EQ(
+      digest_with_kernel(kernel, Bytes(1000000, 'a')),
+      hex("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"));
+}
+
+TEST(Sha256Kernel, ScalarMatchesFips180) {
+  expect_fips180_vectors(detail::sha256_compress_scalar);
+}
+
+TEST(Sha256Kernel, ShaNiMatchesFips180) {
+  const Sha256Compress shani = detail::sha256_shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "CPU or build lacks SHA-NI";
+  expect_fips180_vectors(shani);
+}
+
+TEST(Sha256Kernel, DispatchPicksShaNiWhenAvailable) {
+  const Sha256Compress shani = detail::sha256_shani_kernel();
+  EXPECT_EQ(detail::sha256_kernel(),
+            shani != nullptr ? shani : detail::sha256_compress_scalar);
+  EXPECT_EQ(std::string(detail::sha256_kernel_name()),
+            shani != nullptr ? "sha-ni" : "scalar");
+}
+
+// Differential: the SHA-NI kernel must leave the same chaining value as the
+// scalar reference for any number of blocks in one call, from any start
+// alignment and any (non-IV) input state.
+TEST(Sha256Kernel, ShaNiMatchesScalarOnRandomBlocks) {
+  const Sha256Compress shani = detail::sha256_shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "CPU or build lacks SHA-NI";
+  std::mt19937_64 rng(20181);
+  Bytes buf(4096 + 16);
+  for (int trial = 0; trial < 300; ++trial) {
+    for (auto& b : buf) b = static_cast<uint8_t>(rng());
+    const size_t len = rng() % 4097;
+    const size_t misalign = rng() % 16;
+    std::array<uint32_t, 8> scalar_state{};
+    for (auto& w : scalar_state) w = static_cast<uint32_t>(rng());
+    std::array<uint32_t, 8> shani_state = scalar_state;
+    detail::sha256_compress_scalar(scalar_state.data(), buf.data() + misalign,
+                                   len / 64);
+    shani(shani_state.data(), buf.data() + misalign, len / 64);
+    ASSERT_EQ(shani_state, scalar_state)
+        << "len " << len << " misalign " << misalign;
+  }
+}
+
+// Differential through Sha256 itself: random lengths, start offsets and
+// streaming split points against the scalar kernel fed one padded message.
+TEST(Sha256Kernel, StreamingMatchesScalarReference) {
+  std::mt19937_64 rng(1009);
+  Bytes buf(4096 + 16);
+  for (int trial = 0; trial < 300; ++trial) {
+    for (auto& b : buf) b = static_cast<uint8_t>(rng());
+    const size_t len = rng() % 4097;
+    const ByteView msg = ByteView(buf).subspan(rng() % 16, len);
+    Sha256 h;
+    for (size_t off = 0; off < len;) {
+      const size_t take = std::min<size_t>(len - off, rng() % 300);
+      h.update(msg.subspan(off, take));
+      off += take;
+    }
+    ASSERT_EQ(h.finalize(),
+              digest_with_kernel(detail::sha256_compress_scalar, msg))
+        << "len " << len;
+  }
 }
 
 // Property: chunked streaming must equal one-shot hashing for any chunking
