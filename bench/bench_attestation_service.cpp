@@ -18,7 +18,7 @@
 #include "attest/directory.h"
 #include "attest/service.h"
 #include "attest/transport.h"
-#include "swarm/fleet.h"
+#include "swarm/provision.h"
 
 using namespace erasmus;
 using sim::Duration;

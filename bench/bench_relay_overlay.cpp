@@ -228,7 +228,9 @@ int main(int argc, char** argv) {
                    analysis::fmt(r.round_ms, 1),
                    analysis::fmt(r.collections_per_s, 0),
                    std::to_string(r.collected)});
-    const std::string prefix = "t" + std::to_string(threads) + "_";
+    std::string prefix = "t";
+    prefix += std::to_string(threads);
+    prefix += '_';
     bench.sample(prefix + "build_ms", r.build_ms);
     bench.sample(prefix + "round_wall_ms", r.round_ms);
     bench.sample(prefix + "collections_per_s", r.collections_per_s);

@@ -48,7 +48,7 @@ std::string BenchReport::to_json() const {
     const Summary s = summarize(values);
     const double p99 = quantile(values, 0.99);
     out += (i ? ",\n    " : "\n    ");
-    out += "\"" + json_escape(name) + "\": {\"count\": " +
+    out += json_quote(name) + ": {\"count\": " +
            std::to_string(s.count) + ", \"mean\": " + format_double(s.mean) +
            ", \"p50\": " + format_double(s.p50) +
            ", \"p99\": " + format_double(p99) + "}";

@@ -62,10 +62,9 @@ void AttestationService::start() {
 }
 
 void AttestationService::stop() {
-  // Full quiescence, matching the old Collector::stop(): no further rounds
-  // start, and in-flight sessions are aborted -- their timeouts cancelled,
-  // nothing further sent or recorded. Responses still en route surface as
-  // stray datagrams.
+  // Full quiescence: no further rounds start, and in-flight sessions are
+  // aborted -- their timeouts cancelled, nothing further sent or recorded.
+  // Responses still en route surface as stray datagrams.
   running_ = false;
   if (round_active_ && config_.trace != nullptr) {
     config_.trace->span_end(
@@ -274,7 +273,7 @@ void AttestationService::pump() {
       defer_verify_ = false;
       flush_deferred_verifies();
       // Arm timeouts only for sessions the broadcast did not already
-      // complete: the all-synchronous hot path (Fleet over a
+      // complete: the all-synchronous hot path (kDirect rounds over a
       // DirectTransport) then never touches the event queue at all.
       for (const net::NodeId node : batch) {
         const auto it = active_.find(node);

@@ -11,11 +11,11 @@
 //
 // Round policies:
 //  * periodic    -- start() schedules a full-directory round every T_C,
-//                   the Collector daemon behaviour generalised to fleets.
+//                   the Fig. 2 collection daemon, over a whole fleet.
 //  * single-shot -- collect_now() runs one round over a chosen device set
 //                   at the current instant; over a DirectTransport every
-//                   session completes synchronously (the Fleet
-//                   collect-round semantics).
+//                   session completes synchronously (the
+//                   ShardedFleetRunner kDirect round semantics).
 //  * on-demand   -- ServiceConfig::kind = kOnDemand makes rounds send
 //                   authenticated ERASMUS+OD requests (Fig. 4) instead of
 //                   plain collect requests.

@@ -7,9 +7,9 @@
 //  * NetworkTransport -- the simulated datagram network (latency, loss,
 //    link filters). Responses arrive asynchronously via the EventQueue;
 //    the service's timeout/retry machinery does real work.
-//  * DirectTransport  -- the in-process path Fleet::collect_round uses:
-//    requests are dispatched straight into the prover's handler and the
-//    response is looped back synchronously at the current virtual time
+//  * DirectTransport  -- the in-process path of the fleet runner's kDirect
+//    backend: requests are dispatched straight into the prover's handler and
+//    the response is looped back synchronously at the current virtual time
 //    (zero latency, no queue involvement) -- exactly the
 //    reachability-at-an-instant semantics swarm collection needs (§6).
 //

@@ -22,6 +22,11 @@ void ByteWriter::var_bytes(ByteView data) {
   raw(data);
 }
 
+void ByteWriter::u32_list(const std::vector<uint32_t>& values) {
+  u32(static_cast<uint32_t>(values.size()));
+  for (const uint32_t v : values) u32(v);
+}
+
 bool ByteReader::ensure(size_t n) {
   if (!ok_ || remaining() < n) {
     ok_ = false;
@@ -69,6 +74,18 @@ Bytes ByteReader::raw(size_t n) {
 Bytes ByteReader::var_bytes() {
   const uint32_t n = u32();
   return raw(n);
+}
+
+std::vector<uint32_t> ByteReader::u32_list() {
+  const uint32_t count = u32();
+  if (!ok_ || count > remaining() / 4) {
+    ok_ = false;
+    return {};
+  }
+  std::vector<uint32_t> values;
+  values.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) values.push_back(u32());
+  return values;
 }
 
 }  // namespace erasmus

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/bytes.h"
 
@@ -25,6 +26,8 @@ class ByteWriter {
   void raw(ByteView data) { append(out_, data); }
   /// u32 length prefix followed by the bytes.
   void var_bytes(ByteView data);
+  /// u32 count followed by that many u32 values (node id lists).
+  void u32_list(const std::vector<uint32_t>& values);
 
   const Bytes& bytes() const { return out_; }
   Bytes take() { return std::move(out_); }
@@ -47,6 +50,10 @@ class ByteReader {
   Bytes raw(size_t n);
   /// Reads a u32 length prefix then that many bytes.
   Bytes var_bytes();
+  /// Reads a u32 count then that many u32 values. A count the remaining
+  /// input cannot cover fails before anything is reserved, so a hostile
+  /// frame cannot drive allocation past its own size.
+  std::vector<uint32_t> u32_list();
 
   /// True while no read has run past the end of the buffer.
   bool ok() const { return ok_; }

@@ -43,4 +43,13 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+std::string json_quote(std::string_view s) {
+  // Appended piecewise: `"\"" + std::string&&` trips g++ 12's -Wrestrict
+  // false positive (GCC bug 105329) in Release builds.
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
+
 }  // namespace erasmus

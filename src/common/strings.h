@@ -16,4 +16,7 @@ std::string format_double(double v);
 /// Escapes `s` for embedding in a JSON string literal (quotes not added).
 std::string json_escape(std::string_view s);
 
+/// `s` as a complete JSON string literal: json_escape plus the quotes.
+std::string json_quote(std::string_view s);
+
 }  // namespace erasmus

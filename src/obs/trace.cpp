@@ -50,7 +50,7 @@ std::string TraceValue::to_json() const {
     case Kind::kU64: return std::to_string(u64_);
     case Kind::kI64: return std::to_string(i64_);
     case Kind::kF64: return format_double(f64_);
-    case Kind::kStr: return "\"" + json_escape(str_) + "\"";
+    case Kind::kStr: return json_quote(str_);
   }
   return "null";
 }

@@ -4,28 +4,6 @@
 
 namespace erasmus::overlay {
 
-namespace {
-
-void write_node_list(ByteWriter& w, const std::vector<net::NodeId>& nodes) {
-  w.u32(static_cast<uint32_t>(nodes.size()));
-  for (const net::NodeId node : nodes) w.u32(node);
-}
-
-std::optional<std::vector<net::NodeId>> read_node_list(ByteReader& r) {
-  const uint32_t count = r.u32();
-  // Each entry costs 4 bytes, so a count the remaining input cannot cover
-  // is malformed -- reject before reserving anything (adversarial frames
-  // must not drive allocation).
-  if (!r.ok() || count > r.remaining() / 4) return std::nullopt;
-  std::vector<net::NodeId> nodes;
-  nodes.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) nodes.push_back(r.u32());
-  if (!r.ok()) return std::nullopt;
-  return nodes;
-}
-
-}  // namespace
-
 Bytes CollectFlood::serialize() const {
   ByteWriter w;
   w.u32(flood);
@@ -33,7 +11,7 @@ Bytes CollectFlood::serialize() const {
   w.u8(depth);
   w.u8(flags);
   w.u8(inner_type);
-  write_node_list(w, targets);
+  w.u32_list(targets);
   w.var_bytes(request);
   return w.take();
 }
@@ -46,9 +24,7 @@ std::optional<CollectFlood> CollectFlood::deserialize(ByteView data) {
   f.depth = r.u8();
   f.flags = r.u8();
   f.inner_type = r.u8();
-  auto targets = read_node_list(r);
-  if (!targets) return std::nullopt;
-  f.targets = std::move(*targets);
+  f.targets = r.u32_list();
   f.request = r.var_bytes();
   if (!r.done()) return std::nullopt;
   return f;
@@ -61,7 +37,7 @@ Bytes RelayReport::serialize() const {
   w.u8(hops);
   w.u8(inner_type);
   w.u8(queue);
-  write_node_list(w, path);
+  w.u32_list(path);
   w.var_bytes(response);
   return w.take();
 }
@@ -74,9 +50,7 @@ std::optional<RelayReport> RelayReport::deserialize(ByteView data) {
   report.hops = r.u8();
   report.inner_type = r.u8();
   report.queue = r.u8();
-  auto path = read_node_list(r);
-  if (!path) return std::nullopt;
-  report.path = std::move(*path);
+  report.path = r.u32_list();
   report.response = r.var_bytes();
   if (!r.done()) return std::nullopt;
   return report;
@@ -88,7 +62,7 @@ Bytes AggregateReport::serialize() const {
   w.u32(head);
   w.u8(hops);
   w.u8(queue);
-  write_node_list(w, path);
+  w.u32_list(path);
   w.var_bytes(payload);
   return w.take();
 }
@@ -100,9 +74,7 @@ std::optional<AggregateReport> AggregateReport::deserialize(ByteView data) {
   agg.head = r.u32();
   agg.hops = r.u8();
   agg.queue = r.u8();
-  auto path = read_node_list(r);
-  if (!path) return std::nullopt;
-  agg.path = std::move(*path);
+  agg.path = r.u32_list();
   agg.payload = r.var_bytes();
   if (!r.done()) return std::nullopt;
   return agg;
@@ -112,7 +84,7 @@ Bytes ScopedRequest::serialize() const {
   ByteWriter w;
   w.u32(flood);
   w.u8(inner_type);
-  write_node_list(w, route);
+  w.u32_list(route);
   w.var_bytes(request);
   return w.take();
 }
@@ -122,9 +94,7 @@ std::optional<ScopedRequest> ScopedRequest::deserialize(ByteView data) {
   ScopedRequest req;
   req.flood = r.u32();
   req.inner_type = r.u8();
-  auto route = read_node_list(r);
-  if (!route) return std::nullopt;
-  req.route = std::move(*route);
+  req.route = r.u32_list();
   req.request = r.var_bytes();
   if (!r.done()) return std::nullopt;
   return req;

@@ -41,8 +41,7 @@
 
 namespace erasmus::overlay {
 
-/// Wire tags, disjoint from attest::MsgType (which starts at 1) and
-/// swarm::SedaMsg (0x30-).
+/// Wire tags, disjoint from attest::MsgType (which starts at 1).
 enum class RelayMsg : uint8_t {
   kCollectFlood = 0x20,
   kRelayReport = 0x21,

@@ -16,7 +16,7 @@ std::string Value::to_plain() const {
 }
 
 std::string Value::to_json() const {
-  if (kind_ == Kind::kStr) return "\"" + json_escape(str_) + "\"";
+  if (kind_ == Kind::kStr) return json_quote(str_);
   return to_plain();
 }
 

@@ -1,11 +1,10 @@
 // ShardedFleetRunner: a multi-threaded, deterministic large-fleet driver.
 //
-// swarm::Fleet runs every device on one EventQueue -- fine for 10 devices,
-// hopeless for 1000+. This runner expands a swarm::FleetPlan (possibly
-// heterogeneous: mixed architectures, mixed T_M, mixed policies) and
-// partitions the fleet into `threads` shards, each with its OWN
-// sim::EventQueue, advancing all shards in parallel between
-// collection-round barriers.
+// The one fleet driver, from a handful of devices on one thread to 1000+
+// on many. It expands a swarm::FleetPlan (possibly heterogeneous: mixed
+// architectures, mixed T_M, mixed policies) and partitions the fleet into
+// `threads` shards, each with its OWN sim::EventQueue, advancing all
+// shards in parallel between collection-round barriers.
 //
 // Determinism argument (asserted by tests at 1/2/8 threads; the full
 // write-up is docs/DETERMINISM.md):

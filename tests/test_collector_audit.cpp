@@ -1,9 +1,11 @@
-// Tests for the collection daemon (retries over a lossy network) and the
+// Tests for the periodic collection daemon -- one AttestationService
+// overseeing one device over a lossy network, with retries -- and the
 // audit log (longitudinal QoA record).
 #include <gtest/gtest.h>
 
-#include "attest/collector.h"
 #include "attest/prover.h"
+#include "attest/service.h"
+#include "attest/verifier.h"
 
 namespace erasmus::attest {
 namespace {
@@ -24,7 +26,10 @@ struct Rig {
   net::Network network;
   net::NodeId collector_node;
   net::NodeId prover_node;
-  AuditLog log;
+  DeviceDirectory directory;
+  DeviceId device;
+  NetworkTransport transport;
+  AttestationService service;
 
   explicit Rig(double loss = 0.0)
       : arch(test_key(), 4096, 2048, 32 * kRecordBytes),
@@ -41,87 +46,86 @@ struct Rig {
         }()),
         network(queue, Duration::millis(5), loss, /*seed=*/99),
         collector_node(network.add_node({})),
-        prover_node(network.add_node({})) {
+        prover_node(network.add_node({})),
+        device(directory.link(prover_node, &verifier.record())),
+        transport(network, collector_node),
+        service(queue, transport, directory, daemon_config()) {
     prover.bind(network, prover_node);
   }
+
+  // Every T_C, ask the one device for its 6 freshest records; one session
+  // in flight, two retries on a 30 s timeout.
+  static ServiceConfig daemon_config() {
+    ServiceConfig sc;
+    sc.tc = Duration::hours(1);
+    sc.k = 6;
+    sc.response_timeout = Duration::seconds(30);
+    sc.max_retries = 2;
+    sc.window.fixed = 1;
+    sc.keep_audit = true;
+    return sc;
+  }
+
+  const AuditLog& log() const { return service.log(device); }
 };
 
-CollectorConfig fast_config() {
-  CollectorConfig cc;
-  cc.tc = Duration::hours(1);
-  cc.k = 6;
-  cc.response_timeout = Duration::seconds(30);
-  cc.max_retries = 2;
-  return cc;
-}
-
-TEST(Collector, CollectsEveryTcOnReliableNetwork) {
+TEST(CollectionDaemon, CollectsEveryTcOnReliableNetwork) {
   Rig rig;
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   rig.queue.run_until(Time::zero() + Duration::hours(12) +
                       Duration::minutes(1));
 
-  EXPECT_EQ(collector.stats().rounds, 12u);
-  EXPECT_EQ(collector.stats().responses, 12u);
-  EXPECT_EQ(collector.stats().retries, 0u);
-  EXPECT_EQ(collector.stats().unreachable_rounds, 0u);
-  EXPECT_EQ(rig.log.size(), 12u);
-  EXPECT_DOUBLE_EQ(rig.log.trustworthy_fraction(), 1.0);
-  EXPECT_DOUBLE_EQ(rig.log.reachable_fraction(), 1.0);
+  EXPECT_EQ(rig.service.stats().rounds, 12u);
+  EXPECT_EQ(rig.service.stats().responses, 12u);
+  EXPECT_EQ(rig.service.stats().retries, 0u);
+  EXPECT_EQ(rig.service.stats().unreachable_sessions, 0u);
+  EXPECT_EQ(rig.log().size(), 12u);
+  EXPECT_DOUBLE_EQ(rig.log().trustworthy_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(rig.log().reachable_fraction(), 1.0);
 }
 
-TEST(Collector, RetriesRecoverFromPacketLoss) {
+TEST(CollectionDaemon, RetriesRecoverFromPacketLoss) {
   Rig rig(/*loss=*/0.3);
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   rig.queue.run_until(Time::zero() + Duration::hours(48));
 
-  EXPECT_GT(collector.stats().retries, 0u) << "30% loss must trigger retries";
+  EXPECT_GT(rig.service.stats().retries, 0u) << "30% loss must trigger retries";
   // With 2 retries, P(round lost) = (1 - 0.7^2)^3 ~= 13% worst case; most
   // rounds succeed.
-  EXPECT_GT(rig.log.reachable_fraction(), 0.7);
-  EXPECT_GT(collector.stats().responses, 30u);
+  EXPECT_GT(rig.log().reachable_fraction(), 0.7);
+  EXPECT_GT(rig.service.stats().responses, 30u);
 }
 
-TEST(Collector, DeadProverLoggedUnreachable) {
+TEST(CollectionDaemon, DeadProverLoggedUnreachable) {
   Rig rig;
   // Prover never started and handler removed: simulates a dead device.
   rig.network.set_handler(rig.prover_node, {});
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   rig.queue.run_until(Time::zero() + Duration::hours(6));
 
-  EXPECT_GT(collector.stats().unreachable_rounds, 3u);
-  EXPECT_EQ(collector.stats().responses, 0u);
-  EXPECT_DOUBLE_EQ(rig.log.reachable_fraction(), 0.0);
+  EXPECT_GT(rig.service.stats().unreachable_sessions, 3u);
+  EXPECT_EQ(rig.service.stats().responses, 0u);
+  EXPECT_DOUBLE_EQ(rig.log().reachable_fraction(), 0.0);
 }
 
-TEST(Collector, StopCancelsPendingWork) {
+TEST(CollectionDaemon, StopCancelsPendingWork) {
   Rig rig;
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   rig.queue.run_until(Time::zero() + Duration::hours(3) +
                       Duration::minutes(1));
-  collector.stop();
-  const auto rounds = collector.stats().rounds;
+  rig.service.stop();
+  const auto rounds = rig.service.stats().rounds;
   rig.queue.run_until(Time::zero() + Duration::hours(12));
-  EXPECT_EQ(collector.stats().rounds, rounds);
+  EXPECT_EQ(rig.service.stats().rounds, rounds);
 }
 
-TEST(Collector, DetectsInfectionThroughTheDaemonPath) {
+TEST(CollectionDaemon, DetectsInfectionThroughTheDaemonPath) {
   Rig rig;
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   // Persistent malware at 3.5 h.
   rig.queue.schedule_at(Time::zero() + Duration::minutes(210), [&] {
     rig.prover.memory().write(rig.arch.app_region(), 10, bytes_of("EVIL"),
@@ -129,7 +133,7 @@ TEST(Collector, DetectsInfectionThroughTheDaemonPath) {
   });
   rig.queue.run_until(Time::zero() + Duration::hours(8));
 
-  const auto first = rig.log.first_infection_seen();
+  const auto first = rig.log().first_infection_seen();
   ASSERT_TRUE(first.has_value());
   // Infection at 3.5 h; next measurement 3:40; next collection 4 h (+net).
   EXPECT_GE(first->ns(), (Time::zero() + Duration::hours(4)).ns());
@@ -139,13 +143,11 @@ TEST(Collector, DetectsInfectionThroughTheDaemonPath) {
 TEST(AuditLog, EmpiricalQoAMatchesConfiguration) {
   Rig rig;
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   rig.queue.run_until(Time::zero() + Duration::hours(24) +
                       Duration::minutes(1));
 
-  const auto qoa = rig.log.empirical_qoa();
+  const auto qoa = rig.log().empirical_qoa();
   EXPECT_EQ(qoa.rounds, 24u);
   // T_M = 10 min; collections land just past the hour: freshness is the
   // network delay above 0 ~ up to T_M. Mean must stay below T_M.

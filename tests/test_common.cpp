@@ -4,6 +4,7 @@
 #include "common/bytes.h"
 #include "common/hex.h"
 #include "common/serde.h"
+#include "common/strings.h"
 
 namespace erasmus {
 namespace {
@@ -130,6 +131,41 @@ TEST(Serde, RemainingTracksConsumption) {
   EXPECT_EQ(r.remaining(), 8u);
   (void)r.u32();
   EXPECT_EQ(r.remaining(), 4u);
+}
+
+TEST(Serde, U32ListRoundTripsCountThenLittleEndianValues) {
+  ByteWriter w;
+  w.u32_list({7, 0x01020304u});
+  EXPECT_EQ(w.bytes(), (Bytes{2, 0, 0, 0, 7, 0, 0, 0, 4, 3, 2, 1}));
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.u32_list(), (std::vector<uint32_t>{7, 0x01020304u}));
+  EXPECT_TRUE(r.done());
+
+  ByteWriter empty;
+  empty.u32_list({});
+  ByteReader e(empty.bytes());
+  EXPECT_TRUE(e.u32_list().empty());
+  EXPECT_TRUE(e.done());
+}
+
+TEST(Serde, U32ListCountBeyondInputFails) {
+  // One entry short, and a count no input could cover: both are rejected
+  // before any entry is read.
+  for (const uint32_t count : {3u, 0xffffffffu}) {
+    ByteWriter w;
+    w.u32(count);
+    w.u32(1);
+    w.u32(2);
+    ByteReader r(w.bytes());
+    EXPECT_TRUE(r.u32_list().empty()) << count;
+    EXPECT_FALSE(r.ok()) << count;
+    EXPECT_EQ(r.remaining(), 8u) << "no entry consumed for count " << count;
+  }
+}
+
+TEST(Strings, JsonQuoteWrapsTheEscapedText) {
+  EXPECT_EQ(json_quote(""), "\"\"");
+  EXPECT_EQ(json_quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
 }
 
 // Property: round-trip of every u64 bit pattern sampled at byte boundaries.

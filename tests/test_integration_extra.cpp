@@ -1,18 +1,13 @@
 // Cross-module integration tests beyond the per-module suites: the HYDRA
 // prover end-to-end, ERASMUS+OD over the network, irregular + lenient
-// composition, mobility-driven packet-level relay (the full §6 stack), and
-// an event-queue stress property.
+// composition, and an event-queue stress property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "attest/prover.h"
 #include "attest/verifier.h"
-#include "crypto/hkdf.h"
-#include "overlay/collector.h"
-#include "overlay/relay_node.h"
 #include "sim/rng.h"
-#include "swarm/mobility.h"
 
 namespace erasmus {
 namespace {
@@ -173,80 +168,6 @@ TEST(Composition, IrregularLenientScheduleStillVerifies) {
   const auto res = prover.handle_collect(CollectRequest{16});
   const auto report = verifier.verify_collection(res.response, queue.now());
   EXPECT_TRUE(report.device_trustworthy()) << report.note;
-}
-
-TEST(MobilityRelay, PacketLevelCollectionOverMovingSwarm) {
-  // The full §6 stack: mobility model drives the network's link filter;
-  // relay agents flood/relay; the collector (co-located with device 0)
-  // gathers whatever is momentarily reachable, multi-hop.
-  sim::EventQueue queue;
-  swarm::MobilityConfig mc;
-  mc.devices = 8;
-  mc.field_size = 120.0;
-  mc.radio_range = 45.0;
-  mc.speed_min = 2.0;
-  mc.speed_max = 5.0;
-  mc.seed = 17;
-  swarm::RandomWaypointMobility mobility(mc);
-
-  net::Network network(queue, Duration::millis(2));
-  std::vector<std::unique_ptr<hw::SmartPlusArch>> archs;
-  std::vector<std::unique_ptr<Prover>> provers;
-  std::vector<std::unique_ptr<overlay::RelayNode>> relay_nodes;
-  attest::DeviceDirectory directory;
-  for (uint32_t id = 0; id < mc.devices; ++id) {
-    Bytes salt{static_cast<uint8_t>(id)};
-    const Bytes key = crypto::hkdf(bytes_of("mob-master"), salt,
-                                   bytes_of("k"), 32);
-    auto arch = std::make_unique<hw::SmartPlusArch>(key, 4096, 1024,
-                                                    16 * kRecordBytes);
-    auto prover = std::make_unique<Prover>(
-        queue, *arch, arch->app_region(), arch->store_region(),
-        std::make_unique<attest::RegularScheduler>(Duration::minutes(10)),
-        ProverConfig{});
-    attest::DeviceRecord record;
-    record.key = key;
-    record.set_golden(crypto::Hash::digest(
-        crypto::HashAlgo::kSha256,
-        arch->memory().view(arch->app_region(), true)));
-    const net::NodeId node = network.add_node({});
-    directory.add(node, std::move(record));
-    relay_nodes.push_back(std::make_unique<overlay::RelayNode>(
-        queue, network, node, *prover));
-    archs.push_back(std::move(arch));
-    provers.push_back(std::move(prover));
-  }
-  const net::NodeId collector_node = network.add_node({});
-  overlay::RelayCollector collector(queue, network, collector_node,
-                                    directory, mc.devices + 1);
-
-  // Collector rides along with device 0; link filter consults the mobility
-  // model at every send.
-  network.set_link_filter([&](net::NodeId a, net::NodeId b) {
-    auto dev = [&](net::NodeId n) {
-      return n == collector_node ? swarm::DeviceId{0}
-                                 : static_cast<swarm::DeviceId>(n);
-    };
-    if (a == collector_node || b == collector_node) {
-      // Collector hardware shares device 0's radio.
-      return dev(a) == 0 || dev(b) == 0 ||
-             mobility.connected(dev(a), dev(b), queue.now());
-    }
-    return mobility.connected(dev(a), dev(b), queue.now());
-  });
-
-  for (auto& p : provers) p->start();
-  queue.run_until(Time::zero() + Duration::hours(1));
-
-  const auto result = collector.run_round(6, Duration::seconds(30));
-  const size_t reachable = mobility.snapshot(queue.now()).reachable_from(0);
-  // Every device with a path at flood time should have reported (short
-  // round, slow relative movement). Allow one straggler whose edge broke.
-  EXPECT_GE(result.reports_received + 1, reachable);
-  size_t healthy = 0;
-  for (const auto& s : result.statuses) healthy += s.healthy;
-  EXPECT_EQ(healthy, result.reports_received)
-      << "all collected histories verify";
 }
 
 TEST(EventQueueStress, RandomWorkloadExecutesInOrder) {

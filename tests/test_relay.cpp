@@ -1,14 +1,18 @@
 // Tests for the multi-hop collection overlay (tree-routed collection of
 // self-measurements over the simulated network, §6): wire protocol,
 // per-device relay nodes (store-and-forward, bounded queues, route
-// repair), the RelayTransport, and the AttestationService-backed
-// RelayCollector.
+// repair), and the RelayTransport under an AttestationService.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "attest/service.h"
 #include "crypto/hkdf.h"
-#include "overlay/collector.h"
 #include "overlay/relay_node.h"
+#include "overlay/relay_transport.h"
 #include "swarm/mobility.h"
+#include "swarm/qosa.h"
 
 namespace erasmus::overlay {
 namespace {
@@ -26,7 +30,8 @@ Bytes device_key(uint32_t id) {
 }
 
 // A full packet-level swarm: n provers with relay nodes, a shared
-// DeviceDirectory (node id == device id), one overlay collector.
+// DeviceDirectory (node id == device id), and a verifier endpoint running
+// one AttestationService over a RelayTransport.
 struct OverlayRig {
   sim::EventQueue queue;
   net::Network network;
@@ -35,11 +40,20 @@ struct OverlayRig {
   std::vector<std::unique_ptr<RelayNode>> nodes;
   attest::DeviceDirectory directory;
   net::NodeId collector_node = 0;
-  std::unique_ptr<RelayCollector> collector;
+  std::unique_ptr<RelayTransport> transport;
+  std::unique_ptr<attest::AttestationService> service;
+
+  struct RoundResult {
+    std::vector<swarm::DeviceStatus> statuses;  // indexed by device id
+    size_t reports_received = 0;
+    Duration elapsed;  // flood to last accepted report
+  };
+  RoundResult round;  // filled by the service observer during run_round
+  Time round_start;
 
   explicit OverlayRig(size_t n, double loss = 0.0,
-                      RelayCollectorConfig config = {},
-                      RelayNodeConfig node_config = {})
+                      RelayTransportConfig transport_config = {},
+                      RelayNodeConfig node_config = {}, int max_retries = 1)
       : network(queue, Duration::millis(2), loss, /*seed=*/7) {
     for (uint32_t id = 0; id < n; ++id) {
       auto arch = std::make_unique<hw::SmartPlusArch>(
@@ -64,13 +78,52 @@ struct OverlayRig {
       provers.push_back(std::move(prover));
     }
     collector_node = network.add_node({});
-    collector = std::make_unique<RelayCollector>(
-        queue, network, collector_node, directory, n + 1, config);
+    // A round flood can leave a report pending from every device at once.
+    transport_config.flood_memory =
+        std::max(transport_config.flood_memory, flood_memory_for(n));
+    transport = std::make_unique<RelayTransport>(network, collector_node,
+                                                 n + 1, transport_config);
+    attest::ServiceConfig sc;
+    sc.max_retries = max_retries;
+    // One flood covers the whole swarm, so the dispatch window must too.
+    sc.window.fixed = n;
+    sc.keep_audit = false;
+    service = std::make_unique<attest::AttestationService>(
+        queue, *transport, directory, sc);
+    service->set_observer(
+        [this](const attest::AttestationService::SessionOutcome& outcome) {
+          if (!outcome.reachable) return;  // retry budget exhausted
+          swarm::DeviceStatus& status = round.statuses.at(outcome.device);
+          status.attested = true;
+          status.healthy = outcome.report.device_trustworthy() &&
+                           outcome.report.freshness.has_value();
+          ++round.reports_received;
+          round.elapsed = outcome.at - round_start;
+        });
   }
 
   void start_and_run(Duration d) {
     for (auto& p : provers) p->start();
     queue.run_until(queue.now() + d);
+  }
+
+  // Floods "collect k" to the whole swarm and listens until the deadline.
+  // Sessions still unresolved then are aborted: the device counts as not
+  // attested, and its late report surfaces as a stray, never in the next
+  // round.
+  RoundResult run_round(uint32_t k, Duration deadline) {
+    round = {};
+    round.statuses.resize(directory.size());
+    for (attest::DeviceId id = 0; id < directory.size(); ++id) {
+      round.statuses[id].device = id;
+    }
+    std::vector<attest::DeviceId> all(directory.size());
+    std::iota(all.begin(), all.end(), attest::DeviceId{0});
+    round_start = queue.now();
+    service->collect_now(all, k);
+    queue.run_until(round_start + deadline);
+    if (service->round_in_progress()) service->stop();
+    return std::move(round);
   }
 
   uint64_t total(uint64_t RelayNode::Stats::*field) const {
@@ -133,7 +186,7 @@ TEST(Overlay, FullyConnectedSwarmAllAttested) {
   OverlayRig rig(6);  // no link filter: everyone hears everyone
   rig.start_and_run(Duration::hours(1));
 
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   EXPECT_EQ(result.reports_received, 6u);
   for (const auto& s : result.statuses) {
     EXPECT_TRUE(s.attested) << "device " << s.device;
@@ -160,7 +213,7 @@ TEST(Overlay, MultiHopLineTopology) {
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
 
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   EXPECT_EQ(result.reports_received, 4u)
       << "all devices reachable through multi-hop relay";
   EXPECT_GT(rig.total(&RelayNode::Stats::reports_relayed), 0u)
@@ -168,14 +221,14 @@ TEST(Overlay, MultiHopLineTopology) {
 
   // The transport's histogram sees the depth: device 3's report crossed
   // three relays.
-  const auto& hops = rig.collector->transport().hop_histogram();
+  const auto& hops = rig.transport->hop_histogram();
   ASSERT_GE(hops.size(), 4u);
   EXPECT_EQ(hops[3], 1u);
 }
 
 TEST(Overlay, TtlBoundsFloodDepth) {
-  RelayCollectorConfig config;
-  config.transport.ttl = 1;
+  RelayTransportConfig config;
+  config.ttl = 1;
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
@@ -183,10 +236,10 @@ TEST(Overlay, TtlBoundsFloodDepth) {
   // TTL 1: flood reaches device 0 (ttl 1) and device 1 (ttl 0, no
   // re-flood); 2 and 3 stay unreached and resolve through the timeout
   // path as unreachable sessions.
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   EXPECT_EQ(result.reports_received, 2u);
   EXPECT_FALSE(result.statuses[2].attested);
-  EXPECT_GT(rig.collector->service().stats().unreachable_sessions, 0u);
+  EXPECT_GT(rig.service->stats().unreachable_sessions, 0u);
 }
 
 TEST(Overlay, PartitionedSwarmPartialCoverage) {
@@ -199,7 +252,7 @@ TEST(Overlay, PartitionedSwarmPartialCoverage) {
   });
   rig.start_and_run(Duration::hours(1));
 
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   EXPECT_EQ(result.reports_received, 3u);
   EXPECT_TRUE(result.statuses[0].attested);
   EXPECT_FALSE(result.statuses[4].attested);
@@ -213,7 +266,7 @@ TEST(Overlay, InfectedDeviceFlaggedThroughRelayPath) {
                                  bytes_of("EVIL"), false);
   rig.queue.run_until(rig.queue.now() + Duration::minutes(20));
 
-  const auto result = rig.collector->run_round(4, Duration::seconds(10));
+  const auto result = rig.run_round(4, Duration::seconds(10));
   EXPECT_TRUE(result.statuses[3].attested);
   EXPECT_FALSE(result.statuses[3].healthy);
   EXPECT_TRUE(result.statuses[1].healthy);
@@ -225,19 +278,19 @@ TEST(Overlay, DuplicateReportsCountedOnce) {
   // each device exactly once.
   OverlayRig rig(8);
   rig.start_and_run(Duration::hours(1));
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   EXPECT_EQ(result.reports_received, 8u);
   EXPECT_EQ(result.statuses.size(), 8u);
-  const auto& stats = rig.collector->transport().stats();
+  const auto& stats = rig.transport->stats();
   EXPECT_EQ(stats.reports_received, 8u);
 }
 
 TEST(Overlay, RoundsAreIndependent) {
   OverlayRig rig(4);
   rig.start_and_run(Duration::hours(1));
-  const auto r1 = rig.collector->run_round(6, Duration::seconds(10));
+  const auto r1 = rig.run_round(6, Duration::seconds(10));
   rig.queue.run_until(rig.queue.now() + Duration::minutes(30));
-  const auto r2 = rig.collector->run_round(6, Duration::seconds(10));
+  const auto r2 = rig.run_round(6, Duration::seconds(10));
   EXPECT_EQ(r1.reports_received, 4u);
   EXPECT_EQ(r2.reports_received, 4u);
 }
@@ -245,7 +298,7 @@ TEST(Overlay, RoundsAreIndependent) {
 TEST(Overlay, LossyNetworkDegradesGracefully) {
   OverlayRig rig(6, /*loss=*/0.2);
   rig.start_and_run(Duration::hours(1));
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   // Dense flooding provides path diversity, and the service's retries
   // (each a fresh flood) re-ask anyone whose report was lost.
   EXPECT_GE(result.reports_received, 3u);
@@ -271,12 +324,12 @@ TEST(Overlay, MalformedFramesCountedNotServed) {
   rig.queue.run_until(rig.queue.now() + Duration::seconds(1));
 
   EXPECT_EQ(rig.nodes[0]->stats().malformed_frames, 2u);
-  EXPECT_EQ(rig.collector->transport().stats().malformed_frames, 2u);
+  EXPECT_EQ(rig.transport->stats().malformed_frames, 2u);
   EXPECT_EQ(rig.nodes[0]->stats().requests_served, 0u)
       << "truncated floods must not reach the prover";
 
   // The overlay still works afterwards.
-  const auto result = rig.collector->run_round(2, Duration::seconds(10));
+  const auto result = rig.run_round(2, Duration::seconds(10));
   EXPECT_EQ(result.reports_received, 2u);
 }
 
@@ -284,8 +337,7 @@ TEST(Overlay, BoundedRelayQueueDropsUnderConvergence) {
   // Star: collector -- hub(0) -- {1..5}. Every leaf report converges on
   // the hub within one latency, so a depth-2 store-and-forward buffer
   // must drop; the default depth in a second rig must not.
-  RelayCollectorConfig config;
-  config.max_retries = 0;  // no re-asks: observe the raw first flood
+  const int no_retries = 0;  // no re-asks: observe the raw first flood
   RelayNodeConfig node_config;
   node_config.queue_depth = 2;
   node_config.forward_spacing = Duration::millis(50);
@@ -298,20 +350,20 @@ TEST(Overlay, BoundedRelayQueueDropsUnderConvergence) {
     });
   };
 
-  OverlayRig tight(6, 0.0, config, node_config);
+  OverlayRig tight(6, 0.0, {}, node_config, no_retries);
   star(tight.network, tight.collector_node);
   tight.start_and_run(Duration::hours(1));
-  const auto r1 = tight.collector->run_round(6, Duration::seconds(30));
+  const auto r1 = tight.run_round(6, Duration::seconds(30));
   EXPECT_GT(tight.nodes[0]->stats().reports_dropped, 0u);
   EXPECT_LT(r1.reports_received, 6u);
   EXPECT_GE(r1.reports_received, 1u);
 
   RelayNodeConfig roomy = node_config;
   roomy.queue_depth = 16;
-  OverlayRig wide(6, 0.0, config, roomy);
+  OverlayRig wide(6, 0.0, {}, roomy, no_retries);
   star(wide.network, wide.collector_node);
   wide.start_and_run(Duration::hours(1));
-  const auto r2 = wide.collector->run_round(6, Duration::seconds(30));
+  const auto r2 = wide.run_round(6, Duration::seconds(30));
   EXPECT_EQ(wide.total(&RelayNode::Stats::reports_dropped), 0u);
   EXPECT_EQ(r2.reports_received, 6u);
 }
@@ -343,7 +395,7 @@ TEST(Overlay, RouteRepairWhenParentChurnsMidRound) {
   rig.queue.schedule_after(Duration::millis(20), [broken] {
     *broken = true;
   });
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
 
   EXPECT_TRUE(result.statuses[2].attested)
       << "report must survive the mid-round parent churn";
@@ -353,15 +405,15 @@ TEST(Overlay, RouteRepairWhenParentChurnsMidRound) {
 // --- Scoped retries ----------------------------------------------------------
 
 TEST(Overlay, ScopedRetryRidesCachedRouteAndBurnsIt) {
-  RelayCollectorConfig config;
-  config.transport.scoped_retries = true;
+  RelayTransportConfig config;
+  config.scoped_retries = true;
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
 
-  const auto round = rig.collector->run_round(6, Duration::seconds(10));
+  const auto round = rig.run_round(6, Duration::seconds(10));
   ASSERT_EQ(round.reports_received, 4u);
-  RelayTransport& transport = rig.collector->transport();
+  RelayTransport& transport = *rig.transport;
 
   // Device 3's report crossed 2, 1 and 0: the recorded path vouches for
   // a route to every one of them, not just the origin.
@@ -396,15 +448,15 @@ TEST(Overlay, ScopedRetryRidesCachedRouteAndBurnsIt) {
 }
 
 TEST(Overlay, ScopedRetryFallsBackToFloodOnStaleRoute) {
-  RelayCollectorConfig config;
-  config.transport.scoped_retries = true;
-  config.transport.route_ttl = Duration::seconds(30);
+  RelayTransportConfig config;
+  config.scoped_retries = true;
+  config.route_ttl = Duration::seconds(30);
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
 
-  rig.collector->run_round(6, Duration::seconds(10));
-  RelayTransport& transport = rig.collector->transport();
+  rig.run_round(6, Duration::seconds(10));
+  RelayTransport& transport = *rig.transport;
   ASSERT_TRUE(transport.has_fresh_route(3));
 
   // Let the route age past its TTL: at vehicle speeds yesterday's path
@@ -420,8 +472,8 @@ TEST(Overlay, ScopedRetryFallsBackToFloodOnStaleRoute) {
 }
 
 TEST(Overlay, BrokenScopedHopNaksAndEvictsRoute) {
-  RelayCollectorConfig config;
-  config.transport.scoped_retries = true;
+  RelayTransportConfig config;
+  config.scoped_retries = true;
   OverlayRig rig(4, /*loss=*/0.0, config);
 
   // Line collector -- 0 -- 1 -- 2 -- 3 whose 1--2 edge we can sever.
@@ -437,8 +489,8 @@ TEST(Overlay, BrokenScopedHopNaksAndEvictsRoute) {
   for (auto& node : rig.nodes) node->set_link_probe(connected);
   rig.start_and_run(Duration::hours(1));
 
-  rig.collector->run_round(6, Duration::seconds(10));
-  RelayTransport& transport = rig.collector->transport();
+  rig.run_round(6, Duration::seconds(10));
+  RelayTransport& transport = *rig.transport;
   ASSERT_TRUE(transport.has_fresh_route(3));
 
   // The cached route to 3 runs 0 -> 1 -> 2 -> 3; break it mid-path. The
@@ -486,7 +538,7 @@ TEST(Overlay, MobileSwarmMomentaryReachability) {
   });
   rig.start_and_run(Duration::hours(1));
 
-  const auto r1 = rig.collector->run_round(6, Duration::seconds(10));
+  const auto r1 = rig.run_round(6, Duration::seconds(10));
   EXPECT_GE(r1.reports_received, 1u);
   EXPECT_LE(r1.reports_received, 12u);
   // Device 0 is the collector's co-located uplink: always reachable.

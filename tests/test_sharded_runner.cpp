@@ -91,7 +91,11 @@ TEST(ShardedFleetRunner, OverlayBackendActuallyRelaysMultiHop) {
   sink.end_run();
 
   size_t collected = 0;
-  for (const auto& r : rounds) collected += r.reachable;
+  for (const auto& r : rounds) {
+    collected += r.reachable;
+    // Nothing is infected, so every report that made it back verifies.
+    EXPECT_EQ(r.healthy, r.reachable) << "round " << r.round;
+  }
   EXPECT_GT(collected, 0u);
 
   const auto totals = runner.overlay_totals();

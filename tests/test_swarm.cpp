@@ -1,13 +1,13 @@
 // Tests for the swarm layer (§6): topology, mobility, the on-demand vs.
 // ERASMUS-collection protocol comparison, staggered scheduling, QoSA and
-// the full-device Fleet.
+// full-device fleet rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "swarm/fleet.h"
+#include "scenario/sharded_runner.h"
 #include "swarm/mobility.h"
 #include "swarm/protocols.h"
 #include "swarm/qosa.h"
@@ -482,71 +482,77 @@ DeviceSpec small_spec() {
   return spec;
 }
 
+// Full device stacks driven to `at` on one thread, then collected once
+// through the in-process direct backend (6 records per device).
+scenario::ShardedFleetConfig one_round_at(FleetPlan plan, Duration at) {
+  scenario::ShardedFleetConfig cfg;
+  cfg.plan = std::move(plan);
+  cfg.rounds = 1;
+  cfg.round_interval = at;
+  cfg.k = 6;
+  return cfg;
+}
+
 TEST(Fleet, StaggeredMeasurementsSpreadOverPeriod) {
-  sim::EventQueue queue;
-  Fleet fleet(queue, FleetPlan::uniform(5, /*key_seed=*/7, small_spec()));
-  fleet.start();
-  queue.run_until(Time::zero() + Duration::minutes(10));
+  scenario::ShardedFleetRunner runner(one_round_at(
+      FleetPlan::uniform(5, /*key_seed=*/7, small_spec()),
+      Duration::minutes(10)));
+  scenario::NullSink sink;
+  runner.run(sink);
   // Offsets are i*T_M/5: all five have measured exactly once after one T_M.
   for (DeviceId id = 0; id < 5; ++id) {
-    EXPECT_EQ(fleet.prover(id).stats().measurements, 1u) << "device " << id;
+    EXPECT_EQ(runner.prover(id).stats().measurements, 1u) << "device " << id;
   }
 }
 
 TEST(Fleet, CollectRoundVerifiesHealthyDevices) {
-  sim::EventQueue queue;
   FleetPlan plan = FleetPlan::uniform(6, /*key_seed=*/7, small_spec());
   plan.mobility.field_size = 40.0;   // dense: likely fully connected
   plan.mobility.radio_range = 60.0;
-  Fleet fleet(queue, plan);
-  fleet.start();
-  queue.run_until(Time::zero() + Duration::hours(1));
+  scenario::ShardedFleetRunner runner(one_round_at(plan, Duration::hours(1)));
+  scenario::NullSink sink;
+  const auto rounds = runner.run(sink);
 
-  const auto statuses = fleet.collect_round(/*root=*/0, /*k=*/6);
-  ASSERT_EQ(statuses.size(), 6u);
-  size_t attested = 0, healthy = 0;
-  for (const auto& s : statuses) {
-    attested += s.attested;
-    healthy += s.healthy;
-  }
-  EXPECT_EQ(attested, 6u) << "radio range covers the whole field";
-  EXPECT_EQ(healthy, 6u);
+  ASSERT_EQ(rounds.size(), 1u);
+  EXPECT_EQ(rounds[0].reachable, 6u) << "radio range covers the whole field";
+  EXPECT_EQ(rounds[0].healthy, 6u);
+  EXPECT_EQ(rounds[0].flagged, 0u);
 }
 
 TEST(Fleet, InfectedDeviceFlaggedUnhealthy) {
-  sim::EventQueue queue;
   FleetPlan plan = FleetPlan::uniform(4, /*key_seed=*/7, small_spec());
   plan.mobility.field_size = 30.0;
   plan.mobility.radio_range = 60.0;
-  Fleet fleet(queue, plan);
-  fleet.start();
+  scenario::ShardedFleetRunner runner(one_round_at(plan, Duration::hours(1)));
   // Persistent malware on device 2.
-  queue.schedule_at(Time::zero() + Duration::minutes(15), [&] {
-    fleet.prover(2).memory().write(
-        fleet.prover(2).attested_region(), 10, bytes_of("EVIL"), false);
-  });
-  queue.run_until(Time::zero() + Duration::hours(1));
+  runner.schedule_on_device(
+      2, Time::zero() + Duration::minutes(15), [](attest::Prover& p) {
+        p.memory().write(p.attested_region(), 10, bytes_of("EVIL"), false);
+      });
+  scenario::NullSink sink;
+  const auto rounds = runner.run(sink);
 
-  const auto statuses = fleet.collect_round(0, 6);
-  EXPECT_TRUE(statuses[0].healthy);
-  EXPECT_TRUE(statuses[1].healthy);
-  EXPECT_FALSE(statuses[2].healthy);
-  EXPECT_TRUE(statuses[3].healthy);
+  ASSERT_EQ(rounds.size(), 1u);
+  EXPECT_EQ(rounds[0].reachable, 4u);
+  EXPECT_EQ(rounds[0].healthy, 3u);
+  EXPECT_EQ(rounds[0].flagged, 1u);
 }
 
 TEST(Fleet, PerDeviceKeysAreIndependent) {
-  sim::EventQueue queue;
-  Fleet fleet(queue, FleetPlan::uniform(3, /*key_seed=*/7, small_spec()));
-  fleet.start();
-  queue.run_until(Time::zero() + Duration::minutes(15));
+  const Duration at = Duration::minutes(15);
+  scenario::ShardedFleetRunner runner(one_round_at(
+      FleetPlan::uniform(3, /*key_seed=*/7, small_spec()), at));
+  scenario::NullSink sink;
+  runner.run(sink);
   // Device 1's measurement must not verify under device 0's key.
   const auto m =
-      fleet.prover(1).store().latest(fleet.prover(1).latest_index(), 1);
+      runner.prover(1).store().latest(runner.prover(1).latest_index(), 1);
   ASSERT_EQ(m.size(), 1u);
   attest::CollectResponse cross;
   cross.measurements = m;
-  const auto report = attest::verify_collection(fleet.directory().record(0),
-                                                cross, queue.now());
+  const auto report =
+      attest::verify_collection(runner.directory().record(0), cross,
+                                Time::zero() + at);
   EXPECT_TRUE(report.tampering_detected)
       << "cross-device measurement must fail MAC verification";
 }
