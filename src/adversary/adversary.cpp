@@ -62,7 +62,7 @@ Engine::Engine(EngineConfig config,
     period_.push_back(tm);
     first_.push_back(staggered ? swarm::stagger_offset(tm, d, fleet_) : tm);
   }
-  busy_.resize(fleet_);
+  device_legs_.resize(fleet_);
   active_leg_.assign(fleet_, -1);
   saved_.resize(fleet_);
   plan_compromised_relays();
@@ -81,8 +81,8 @@ sim::Time Engine::next_measurement(swarm::DeviceId d, sim::Time t) const {
 
 bool Engine::interval_free(swarm::DeviceId d, sim::Time from,
                            sim::Time to) const {
-  for (const auto& [b, e] : busy_[d]) {
-    if (from < e && b < to) return false;
+  for (const size_t i : device_legs_[d]) {
+    if (from < legs_[i].leave && legs_[i].enter < to) return false;
   }
   return true;
 }
@@ -192,8 +192,8 @@ void Engine::plan_roaming() {
       leg.first = first;
       leg.evade = evade;
       leg.forced = forced;
+      device_legs_[leg.device].push_back(legs_.size());
       legs_.push_back(leg);
-      busy_[leg.device].push_back({leg.enter, leg.leave});
       if (!started) {
         chains_.push_back({leg.enter, false, {}});
         started = true;
@@ -253,13 +253,12 @@ void Engine::on_verdict(swarm::DeviceId device, bool healthy, sim::Time at) {
   // A failed verdict is attributed to the earliest-entered measured leg
   // on this device whose chain is still undetected; the infected record
   // stays in the device's store, so later rounds re-flag it (repeat).
+  // Ties on `enter` go to the lowest leg index (the list is ascending).
   int32_t best = -1;
   bool any_measured = false;
-  for (size_t i = 0; i < legs_.size(); ++i) {
+  for (const size_t i : device_legs_[device]) {
     const Leg& leg = legs_[i];
-    if (leg.device != device || !leg.measured || at < leg.measured_at) {
-      continue;
-    }
+    if (!leg.measured || at < leg.measured_at) continue;
     any_measured = true;
     if (chains_[leg.chain].detected) continue;
     if (best < 0 || leg.enter < legs_[static_cast<size_t>(best)].enter) {

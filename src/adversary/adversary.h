@@ -228,7 +228,9 @@ class Engine {
 
   std::vector<Leg> legs_;
   std::vector<Chain> chains_;
-  std::vector<std::vector<std::pair<sim::Time, sim::Time>>> busy_;
+  /// Per-device itinerary: indices into legs_ of the legs planned on that
+  /// device, ascending (plan order).
+  std::vector<std::vector<size_t>> device_legs_;
   /// Per-device residency (index into legs_, -1 = clean) and the bytes the
   /// payload overwrote. Shard threads touch only their own devices' slots.
   std::vector<int32_t> active_leg_;

@@ -593,25 +593,16 @@ FleetRoundResult ShardedFleetRunner::collect_round(size_t round,
   if (config_.backend == CollectionBackend::kDirect) {
     // Single-threaded: mobility's lazy trajectory extension shares one
     // RNG, so it must only ever be queried here, in deterministic order.
-    swarm::Topology topo = mobility_.snapshot(at);
-    for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
-      // Dark devices relay nothing either: prune them from the tree like
-      // departed ones.
-      if (active(id)) continue;
-      for (const swarm::DeviceId nb : topo.neighbors(id)) {
-        topo.remove_edge(id, nb);
-      }
-    }
-    if (engine_) {
-      // Scheduled partitions cut the direct backend's tree exactly like
-      // the overlay's link filter: edges across the cut disappear.
-      for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
-        for (const swarm::DeviceId nb : topo.neighbors(id)) {
-          if (!engine_->link_allowed(id, nb, at)) topo.remove_edge(id, nb);
-        }
-      }
-    }
-    const auto tree = topo.bfs_tree(config_.root);
+    const swarm::Topology topo = mobility_.snapshot(at);
+    // The walk crosses only edges between active devices (departed and
+    // dark ones relay nothing) that no scheduled partition cuts, like the
+    // overlay's link filter. link_allowed is symmetric, so this is the BFS
+    // tree of the graph with those edges removed.
+    const auto tree = topo.bfs_tree(
+        config_.root, [this, at](swarm::DeviceId a, swarm::DeviceId b) {
+          return active(a) && active(b) &&
+                 (!engine_ || engine_->link_allowed(a, b, at));
+        });
 
     std::vector<attest::DeviceId> targets;
     targets.reserve(stacks_.size());

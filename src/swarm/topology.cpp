@@ -1,44 +1,58 @@
 #include "swarm/topology.h"
 
+#include <algorithm>
 #include <queue>
 #include <stdexcept>
 
 namespace erasmus::swarm {
 
+namespace {
+/// Inserts v into the ascending row unless present. The snapshot adds
+/// edges in ascending (a, b) order, so there every insert is an append.
+void insert_sorted(std::vector<DeviceId>& row, DeviceId v) {
+  const auto it = std::lower_bound(row.begin(), row.end(), v);
+  if (it == row.end() || *it != v) row.insert(it, v);
+}
+
+void erase_sorted(std::vector<DeviceId>& row, DeviceId v) {
+  const auto it = std::lower_bound(row.begin(), row.end(), v);
+  if (it != row.end() && *it == v) row.erase(it);
+}
+}  // namespace
+
+void Topology::check(DeviceId a, DeviceId b) const {
+  if (a >= adj_.size() || b >= adj_.size()) {
+    throw std::out_of_range("Topology: bad device id");
+  }
+}
+
 void Topology::add_edge(DeviceId a, DeviceId b) {
-  if (a >= n_ || b >= n_) throw std::out_of_range("Topology: bad device id");
+  check(a, b);
   if (a == b) return;
-  adj_[idx(a, b)] = true;
-  adj_[idx(b, a)] = true;
+  insert_sorted(adj_[a], b);
+  insert_sorted(adj_[b], a);
 }
 
 void Topology::remove_edge(DeviceId a, DeviceId b) {
-  if (a >= n_ || b >= n_) throw std::out_of_range("Topology: bad device id");
-  adj_[idx(a, b)] = false;
-  adj_[idx(b, a)] = false;
+  check(a, b);
+  erase_sorted(adj_[a], b);
+  erase_sorted(adj_[b], a);
 }
 
 bool Topology::connected(DeviceId a, DeviceId b) const {
-  if (a >= n_ || b >= n_) throw std::out_of_range("Topology: bad device id");
-  return adj_[idx(a, b)];
+  check(a, b);
+  return std::binary_search(adj_[a].begin(), adj_[a].end(), b);
 }
 
-std::vector<DeviceId> Topology::neighbors(DeviceId v) const {
-  std::vector<DeviceId> out;
-  for (DeviceId u = 0; u < n_; ++u) {
-    if (u != v && adj_[idx(v, u)]) out.push_back(u);
-  }
-  return out;
+const std::vector<DeviceId>& Topology::neighbors(DeviceId v) const {
+  check(v, v);
+  return adj_[v];
 }
 
 size_t Topology::edge_count() const {
-  size_t count = 0;
-  for (DeviceId a = 0; a < n_; ++a) {
-    for (DeviceId b = a + 1; b < n_; ++b) {
-      if (adj_[idx(a, b)]) ++count;
-    }
-  }
-  return count;
+  size_t ends = 0;
+  for (const auto& row : adj_) ends += row.size();
+  return ends / 2;
 }
 
 uint32_t Topology::SpanningTree::max_depth() const {
@@ -57,12 +71,13 @@ std::vector<DeviceId> Topology::SpanningTree::children(DeviceId v) const {
   return out;
 }
 
-Topology::SpanningTree Topology::bfs_tree(DeviceId root) const {
-  if (root >= n_) throw std::out_of_range("Topology: bad root");
+Topology::SpanningTree Topology::bfs_tree(DeviceId root,
+                                          const EdgeFilter& keep) const {
+  if (root >= adj_.size()) throw std::out_of_range("Topology: bad root");
   SpanningTree tree;
   tree.root = root;
-  tree.parent.assign(n_, std::nullopt);
-  tree.depth.assign(n_, 0);
+  tree.parent.assign(adj_.size(), std::nullopt);
+  tree.depth.assign(adj_.size(), 0);
   tree.parent[root] = root;
   tree.reached = 1;
 
@@ -71,13 +86,12 @@ Topology::SpanningTree Topology::bfs_tree(DeviceId root) const {
   while (!frontier.empty()) {
     const DeviceId v = frontier.front();
     frontier.pop();
-    for (DeviceId u : neighbors(v)) {
-      if (!tree.parent[u]) {
-        tree.parent[u] = v;
-        tree.depth[u] = tree.depth[v] + 1;
-        ++tree.reached;
-        frontier.push(u);
-      }
+    for (const DeviceId u : adj_[v]) {
+      if (tree.parent[u] || (keep && !keep(v, u))) continue;
+      tree.parent[u] = v;
+      tree.depth[u] = tree.depth[v] + 1;
+      ++tree.reached;
+      frontier.push(u);
     }
   }
   return tree;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -14,17 +15,20 @@ namespace erasmus::swarm {
 
 using DeviceId = uint32_t;
 
+/// Sparse adjacency: one ascending neighbour list per device, so memory
+/// and neighbour walks are O(N + E) rather than O(N^2).
 class Topology {
  public:
-  explicit Topology(size_t n) : n_(n), adj_(n * n, false) {}
+  explicit Topology(size_t n) : adj_(n) {}
 
-  size_t size() const { return n_; }
+  size_t size() const { return adj_.size(); }
 
   void add_edge(DeviceId a, DeviceId b);
   void remove_edge(DeviceId a, DeviceId b);
   bool connected(DeviceId a, DeviceId b) const;
 
-  std::vector<DeviceId> neighbors(DeviceId v) const;
+  /// v's neighbours in ascending id order.
+  const std::vector<DeviceId>& neighbors(DeviceId v) const;
   size_t edge_count() const;
 
   /// BFS spanning tree rooted at `root`.
@@ -39,18 +43,19 @@ class Topology {
     /// Children of v in the tree.
     std::vector<DeviceId> children(DeviceId v) const;
   };
-  SpanningTree bfs_tree(DeviceId root) const;
+  /// Edge filter for bfs_tree: the walk crosses (from, to) only when it
+  /// returns true. It must be symmetric for the tree to be the BFS tree of
+  /// the graph with the rejected edges removed.
+  using EdgeFilter = std::function<bool(DeviceId from, DeviceId to)>;
+  SpanningTree bfs_tree(DeviceId root, const EdgeFilter& keep = {}) const;
 
   /// Number of devices reachable from `root` (including itself).
   size_t reachable_from(DeviceId root) const;
 
  private:
-  size_t idx(DeviceId a, DeviceId b) const {
-    return static_cast<size_t>(a) * n_ + b;
-  }
+  void check(DeviceId a, DeviceId b) const;
 
-  size_t n_;
-  std::vector<bool> adj_;
+  std::vector<std::vector<DeviceId>> adj_;
 };
 
 }  // namespace erasmus::swarm

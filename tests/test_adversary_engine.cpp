@@ -1,7 +1,8 @@
 // Tests for the adversary engine: loud knob parsing, deterministic
 // itinerary planning, the T_M-vs-dwell detection claim end-to-end through
-// the sharded runner, thread-count byte identity with an active campaign,
-// and the adversarial/generic counter split on the relay layer.
+// the sharded runner, verdict attribution to campaigns, thread-count byte
+// identity with an active campaign, and the adversarial/generic counter
+// split on the relay layer.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -86,6 +87,92 @@ TEST(AdversaryEngine, ItineraryIsAPureFunctionOfItsInputs) {
     EXPECT_NE(leg.device, 0u) << "the root/collector is never infected";
     EXPECT_LT(leg.enter, leg.leave);
   }
+}
+
+TEST(AdversaryEngine, VerdictsAttributeToTheEarliestEnteredMeasuredLeg) {
+  // Two random-walk chains on a three-device fleet (root 0 is never
+  // infected) keep crossing devices 1 and 2, so some device hosts legs of
+  // both chains at different times.
+  ShardedFleetConfig cfg = adversary_config(1, Duration::minutes(10));
+  cfg.plan.set_devices(3);
+  cfg.adversary.migration = adversary::Migration::kRandomWalk;
+  cfg.adversary.chains = 2;
+  const auto specs = cfg.plan.expand();
+  adversary::Engine engine(cfg.adversary, specs, /*staggered=*/true,
+                           /*root=*/0, Time::zero() + Duration::hours(4));
+  const std::vector<adversary::Leg>& legs = engine.legs();
+
+  // The first leg of chain 1 and an earlier-entered chain-0 leg on the
+  // same device.
+  size_t late = legs.size();
+  size_t early = legs.size();
+  for (size_t i = 0; i < legs.size() && early == legs.size(); ++i) {
+    if (legs[i].chain != 1) continue;
+    for (size_t j = 0; j < legs.size(); ++j) {
+      if (legs[j].chain == 0 && legs[j].device == legs[i].device &&
+          legs[j].enter < legs[i].enter) {
+        late = i;
+        early = j;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(early, legs.size()) << "no device hosts both chains";
+  const swarm::DeviceId device = legs[early].device;
+  const auto chain_start = [&](size_t chain) {
+    for (const adversary::Leg& leg : legs) {
+      if (leg.chain == chain && leg.first) return leg.enter;
+    }
+    return Time::zero();
+  };
+  ASSERT_NE(chain_start(0), chain_start(1));
+
+  // The runner only lends a prover's attested memory to the payload: the
+  // engine is driven by hand and the runner never runs.
+  cfg.adversary = adversary::EngineConfig{};
+  ShardedFleetRunner runner(cfg);
+  attest::Prover& prover = runner.prover(device);
+  // Run the late leg first: attribution follows `enter`, not the order
+  // the measurements were taken in.
+  for (const size_t leg : {late, early}) {
+    engine.enter_leg(leg, prover);
+    engine.on_measurement(device, legs[leg].enter);
+    engine.leave_leg(leg, prover);
+  }
+  const Time measured = std::max(legs[early].enter, legs[late].enter);
+
+  engine.on_verdict(device, /*healthy=*/true, measured);
+  EXPECT_EQ(engine.detected_chains(), 0u)
+      << "a healthy verdict detects nothing";
+
+  const Time first_flag = measured + Duration::minutes(1);
+  engine.on_verdict(device, /*healthy=*/false, first_flag);
+  EXPECT_EQ(engine.detected_chains(), 1u);
+  EXPECT_EQ(engine.mean_detection_latency(), first_flag - chain_start(0))
+      << "the earlier-entered leg's chain is detected first";
+
+  const Time second_flag = first_flag + Duration::minutes(1);
+  engine.on_verdict(device, /*healthy=*/false, second_flag);
+  EXPECT_EQ(engine.detected_chains(), 2u) << "then the other chain";
+  EXPECT_EQ(engine.mean_detection_latency(),
+            Duration::nanos(((first_flag - chain_start(0)).ns() +
+                             (second_flag - chain_start(1)).ns()) /
+                            2));
+  EXPECT_EQ(engine.repeat_flags(), 0u);
+
+  engine.on_verdict(device, /*healthy=*/false, second_flag);
+  EXPECT_EQ(engine.repeat_flags(), 1u) << "both chains already detected";
+  EXPECT_EQ(engine.unattributed_flags(), 0u);
+
+  // A flag older than every measurement on the device, and one on the
+  // never-infected root, are explained by no measured leg.
+  engine.on_verdict(device, /*healthy=*/false,
+                    std::min(legs[early].enter, legs[late].enter) -
+                        Duration::nanos(1));
+  engine.on_verdict(/*device=*/0, /*healthy=*/false, second_flag);
+  EXPECT_EQ(engine.unattributed_flags(), 2u);
+  EXPECT_EQ(engine.repeat_flags(), 1u);
+  EXPECT_EQ(engine.detected_chains(), 2u);
 }
 
 TEST(AdversaryEngine, AwareMalwareEvadesSparseScheduleAndTightOneCatchesIt) {

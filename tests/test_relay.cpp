@@ -12,7 +12,6 @@
 #include "overlay/relay_node.h"
 #include "overlay/relay_transport.h"
 #include "swarm/mobility.h"
-#include "swarm/qosa.h"
 
 namespace erasmus::overlay {
 namespace {
@@ -43,8 +42,13 @@ struct OverlayRig {
   std::unique_ptr<RelayTransport> transport;
   std::unique_ptr<attest::AttestationService> service;
 
+  struct DeviceStatus {
+    attest::DeviceId device = 0;
+    bool attested = false;  // report reached the verifier this round
+    bool healthy = false;   // report verified and matched the golden digest
+  };
   struct RoundResult {
-    std::vector<swarm::DeviceStatus> statuses;  // indexed by device id
+    std::vector<DeviceStatus> statuses;  // indexed by device id
     size_t reports_received = 0;
     Duration elapsed;  // flood to last accepted report
   };
@@ -93,7 +97,7 @@ struct OverlayRig {
     service->set_observer(
         [this](const attest::AttestationService::SessionOutcome& outcome) {
           if (!outcome.reachable) return;  // retry budget exhausted
-          swarm::DeviceStatus& status = round.statuses.at(outcome.device);
+          DeviceStatus& status = round.statuses.at(outcome.device);
           status.attested = true;
           status.healthy = outcome.report.device_trustworthy() &&
                            outcome.report.freshness.has_value();

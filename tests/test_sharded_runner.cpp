@@ -1,7 +1,10 @@
 // Tests for the sharded fleet runner, above all its headline guarantee:
 // for a fixed seed, metrics are bit-for-bit identical at any thread count.
+// Also: who the kDirect backend reaches under churn, partitions and dark
+// batteries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "scenario/scenario.h"
@@ -174,6 +177,106 @@ TEST(ShardedFleetRunner, AbsentDevicesAreNotCollected) {
   // Absent provers took no part: their timers were never started.
   EXPECT_EQ(runner.prover(5).stats().collections, 0u);
   EXPECT_EQ(runner.prover(5).stats().measurements, 0u);
+}
+
+// kDirect reachability from first principles: the BFS tree of the round's
+// topology after removing every edge of an inactive (absent or dark)
+// device and, while `cut` is true, every edge between the id halves.
+std::vector<bool> direct_oracle(ShardedFleetRunner& r, swarm::DeviceId root,
+                                Time at, bool cut) {
+  // The same snapshot query the collection makes next: trajectories extend
+  // in the same id order either way, so the topology is the round's own.
+  swarm::Topology topo = r.mobility().snapshot(at);
+  const auto n = static_cast<swarm::DeviceId>(r.size());
+  const auto active = [&](swarm::DeviceId id) {
+    return r.present(id) && !r.energy_meter()->dark(id);
+  };
+  for (swarm::DeviceId a = 0; a < n; ++a) {
+    for (swarm::DeviceId b = a + 1; b < n; ++b) {
+      if (!active(a) || !active(b) || (cut && (a < n / 2) != (b < n / 2))) {
+        topo.remove_edge(a, b);
+      }
+    }
+  }
+  const auto tree = topo.bfs_tree(root);
+  std::vector<bool> reached(n);
+  for (swarm::DeviceId id = 0; id < n; ++id) {
+    reached[id] = active(id) && tree.parent[id].has_value();
+  }
+  return reached;
+}
+
+TEST(ShardedFleetRunner, DirectBackendHonoursPartitionsAndDarkDevices) {
+  ShardedFleetConfig cfg = small_config(2);
+  cfg.rounds = 6;
+  // Mixed T_M so batteries run out in different rounds; the root's lasts.
+  cfg.plan.cycle_tm({Duration::minutes(30), Duration::minutes(10),
+                     Duration::minutes(1)});
+  cfg.energy.metered = true;
+  // 100 mJ: the T_M = 1 min third of the fleet goes dark by round 3.
+  cfg.energy.battery = sim::Energy{100e3};
+  // Only round 2's barrier (t = 60 min) falls inside the cut.
+  const Time cut_from = Time::zero() + Duration::minutes(45);
+  const Time cut_to = cut_from + Duration::minutes(30);
+  cfg.adversary.partitions.push_back({cut_from, cut_to - cut_from});
+  ShardedFleetRunner runner(cfg);
+  runner.set_present(9, false);
+  const size_t n = runner.size();
+
+  std::vector<std::vector<bool>> expected;
+  std::vector<std::vector<bool>> dark;
+  std::vector<std::vector<bool>> served;
+  std::vector<uint64_t> collections(n, 0);
+  const auto served_since_last = [&](ShardedFleetRunner& r) {
+    std::vector<bool> out(n);
+    for (swarm::DeviceId id = 0; id < n; ++id) {
+      const uint64_t now = r.prover(id).stats().collections;
+      out[id] = now > collections[id];
+      collections[id] = now;
+    }
+    served.push_back(out);
+  };
+  runner.set_round_hook([&](ShardedFleetRunner& r, size_t round, Time at) {
+    if (round > 1) served_since_last(r);
+    expected.push_back(
+        direct_oracle(r, cfg.root, at, cut_from <= at && at < cut_to));
+    std::vector<bool> d(n);
+    for (swarm::DeviceId id = 0; id < n; ++id) {
+      d[id] = r.energy_meter()->dark(id);
+    }
+    dark.push_back(d);
+  });
+  NullSink sink;
+  const auto rounds = runner.run(sink);
+  served_since_last(runner);
+  ASSERT_EQ(served.size(), cfg.rounds);
+
+  size_t dark_seen = 0;
+  for (size_t r = 0; r < cfg.rounds; ++r) {
+    EXPECT_EQ(served[r], expected[r]) << "round " << r + 1;
+    EXPECT_EQ(static_cast<size_t>(
+                  std::count(served[r].begin(), served[r].end(), true)),
+              rounds[r].reachable);
+    for (swarm::DeviceId id = 0; id < n; ++id) {
+      if (!dark[r][id]) continue;
+      ++dark_seen;
+      EXPECT_FALSE(served[r][id])
+          << "dark device " << id << " served in round " << r + 1;
+    }
+  }
+  EXPECT_GT(dark_seen, 0u) << "battery sized to brown out mid-run";
+
+  const auto far_side_served = [&](size_t round) {
+    size_t count = 0;
+    for (swarm::DeviceId id = n / 2; id < n; ++id) {
+      count += served[round - 1][id];
+    }
+    return count;
+  };
+  EXPECT_GT(rounds[1].reachable, 0u);
+  EXPECT_EQ(far_side_served(2), 0u) << "the cut isolates the far side";
+  EXPECT_GT(far_side_served(1), 0u);
+  EXPECT_GT(far_side_served(3), 0u) << "healed by round 3";
 }
 
 TEST(ShardedFleetRunner, ValidatesConfig) {

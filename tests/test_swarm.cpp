@@ -1,5 +1,5 @@
 // Tests for the swarm layer (§6): topology, mobility, the on-demand vs.
-// ERASMUS-collection protocol comparison, staggered scheduling, QoSA and
+// ERASMUS-collection protocol comparison, staggered scheduling and
 // full-device fleet rounds.
 #include <gtest/gtest.h>
 
@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "scenario/sharded_runner.h"
+#include "sim/rng.h"
 #include "swarm/mobility.h"
 #include "swarm/protocols.h"
-#include "swarm/qosa.h"
 #include "swarm/topology.h"
 
 namespace erasmus::swarm {
@@ -35,6 +35,9 @@ TEST(Topology, SelfLoopsIgnoredAndBoundsChecked) {
   EXPECT_FALSE(t.connected(1, 1));
   EXPECT_THROW(t.add_edge(0, 3), std::out_of_range);
   EXPECT_THROW(t.connected(3, 0), std::out_of_range);
+  EXPECT_THROW(t.remove_edge(3, 0), std::out_of_range);
+  EXPECT_THROW(t.neighbors(3), std::out_of_range);
+  EXPECT_THROW(t.bfs_tree(3), std::out_of_range);
 }
 
 TEST(Topology, NeighborsAndEdgeCount) {
@@ -101,6 +104,136 @@ TEST(Topology, SpanningTreeSingleNodeGraph) {
       << "the root must not list itself as a child";
   EXPECT_EQ(t.reachable_from(0), 1u);
   EXPECT_EQ(t.edge_count(), 0u);
+}
+
+// Dense reference for the sparse adjacency: an n*n bit matrix and the
+// textbook BFS over it, neighbours in ascending id order.
+struct DenseTopology {
+  explicit DenseTopology(size_t n) : n(n), adj(n * n, false) {}
+  size_t n;
+  std::vector<bool> adj;
+
+  bool has(DeviceId a, DeviceId b) const { return adj[a * n + b]; }
+  void set(DeviceId a, DeviceId b, bool on) {
+    if (a == b) return;
+    adj[a * n + b] = on;
+    adj[b * n + a] = on;
+  }
+  std::vector<DeviceId> neighbors(DeviceId v) const {
+    std::vector<DeviceId> out;
+    for (DeviceId u = 0; u < n; ++u) {
+      if (has(v, u)) out.push_back(u);
+    }
+    return out;
+  }
+  Topology::SpanningTree bfs(DeviceId root) const {
+    Topology::SpanningTree tree;
+    tree.root = root;
+    tree.parent.assign(n, std::nullopt);
+    tree.depth.assign(n, 0);
+    tree.parent[root] = root;
+    tree.reached = 1;
+    std::vector<DeviceId> queue = {root};
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const DeviceId v = queue[head];
+      for (const DeviceId u : neighbors(v)) {
+        if (tree.parent[u]) continue;
+        tree.parent[u] = v;
+        tree.depth[u] = tree.depth[v] + 1;
+        ++tree.reached;
+        queue.push_back(u);
+      }
+    }
+    return tree;
+  }
+};
+
+void expect_same_tree(const Topology::SpanningTree& got,
+                      const Topology::SpanningTree& want) {
+  EXPECT_EQ(got.root, want.root);
+  EXPECT_EQ(got.reached, want.reached);
+  EXPECT_EQ(got.parent, want.parent);
+  for (size_t v = 0; v < want.parent.size(); ++v) {
+    if (want.parent[v]) {
+      EXPECT_EQ(got.depth[v], want.depth[v]) << v;
+    }
+  }
+}
+
+void expect_matches(const Topology& t, const DenseTopology& ref,
+                    sim::Rng& rng) {
+  const auto n = static_cast<DeviceId>(ref.n);
+  ASSERT_EQ(t.size(), ref.n);
+  size_t ends = 0;
+  for (DeviceId a = 0; a < n; ++a) {
+    for (DeviceId b = 0; b < n; ++b) {
+      ASSERT_EQ(t.connected(a, b), ref.has(a, b)) << a << "-" << b;
+    }
+    ASSERT_EQ(t.neighbors(a), ref.neighbors(a)) << a;
+    ends += t.neighbors(a).size();
+  }
+  EXPECT_EQ(t.edge_count(), ends / 2);
+  for (int i = 0; i < 3; ++i) {
+    const auto root = static_cast<DeviceId>(rng.next_below(n));
+    expect_same_tree(t.bfs_tree(root), ref.bfs(root));
+
+    // A symmetric filter (some nodes blocked outright, some edges cut by
+    // a pair hash) walks exactly the graph without the rejected edges.
+    const uint64_t salt = rng.next_u64();
+    std::vector<bool> blocked(n);
+    for (DeviceId v = 0; v < n; ++v) blocked[v] = rng.chance(0.1);
+    const auto keep = [&](DeviceId a, DeviceId b) {
+      const uint64_t pair = std::min(a, b) * 1000003ull + std::max(a, b);
+      return !blocked[a] && !blocked[b] && (pair ^ salt) % 4 != 0;
+    };
+    Topology pruned = t;
+    DenseTopology pruned_ref = ref;
+    for (DeviceId a = 0; a < n; ++a) {
+      for (const DeviceId b : t.neighbors(a)) {
+        if (keep(a, b)) continue;
+        pruned.remove_edge(a, b);
+        pruned_ref.set(a, b, false);
+      }
+    }
+    const auto filtered = t.bfs_tree(root, keep);
+    expect_same_tree(filtered, pruned.bfs_tree(root));
+    expect_same_tree(filtered, pruned_ref.bfs(root));
+  }
+}
+
+TEST(Topology, MatchesDenseReferenceUnderRandomEdits) {
+  for (const size_t n : {1, 2, 64, 700}) {
+    SCOPED_TRACE(n);
+    sim::Rng rng(0x70b0 + n);
+    Topology t(n);
+    DenseTopology ref(n);
+    const size_t ops = n < 64 ? 50 : 12 * n;
+    // Full comparisons are O(n^2): every op on small graphs, a few
+    // checkpoints on the large one.
+    const size_t check_every = n <= 64 ? 1 : ops / 4;
+    for (size_t op = 1; op <= ops; ++op) {
+      const auto a = static_cast<DeviceId>(rng.next_below(n));
+      auto b = static_cast<DeviceId>(rng.next_below(n));
+      const uint64_t kind = rng.next_below(20);
+      if (kind < 2) {
+        b = a;  // self-loop: ignored by add, no-op for remove
+      } else if (kind < 5 && !t.neighbors(a).empty()) {
+        // An existing edge: a duplicate add or a real removal.
+        b = t.neighbors(a)[rng.next_below(t.neighbors(a).size())];
+      }
+      if (kind % 3 == 0) {
+        t.remove_edge(a, b);  // often absent: must be a no-op
+        ref.set(a, b, false);
+      } else {
+        t.add_edge(a, b);
+        ref.set(a, b, true);
+      }
+      if (op % check_every == 0) expect_matches(t, ref, rng);
+    }
+    if (n > 1) {
+      EXPECT_GT(t.edge_count(), 0u) << "the edits must leave edges";
+    }
+  }
 }
 
 TEST(Topology, EdgeRemovalMidTreeDropsSubtree) {
@@ -442,37 +575,6 @@ TEST(Protocols, StaggeringWithLongMeasurements) {
   const size_t busy = max_concurrent_busy(
       10, Duration::minutes(10), Duration::minutes(3), /*staggered=*/true);
   EXPECT_EQ(busy, 3u);
-}
-
-TEST(Qosa, LevelsCarryIncreasingInformation) {
-  Topology topo(3);
-  topo.add_edge(0, 1);
-  std::vector<DeviceStatus> statuses = {
-      {0, true, true}, {1, true, true}, {2, true, false}};
-
-  const auto binary = make_report(QosaLevel::kBinary, statuses, topo);
-  EXPECT_FALSE(binary.all_healthy);
-  EXPECT_TRUE(binary.devices.empty());
-  EXPECT_TRUE(binary.edges.empty());
-
-  const auto list = make_report(QosaLevel::kList, statuses, topo);
-  EXPECT_EQ(list.devices.size(), 3u);
-  EXPECT_TRUE(list.edges.empty());
-
-  const auto full = make_report(QosaLevel::kFull, statuses, topo);
-  EXPECT_EQ(full.devices.size(), 3u);
-  EXPECT_EQ(full.edges.size(), 1u);
-}
-
-TEST(Qosa, AllHealthyRequiresEveryDevice) {
-  Topology topo(2);
-  const auto good = make_report(
-      QosaLevel::kBinary, {{0, true, true}, {1, true, true}}, topo);
-  EXPECT_TRUE(good.all_healthy);
-  const auto unattested = make_report(
-      QosaLevel::kBinary, {{0, true, true}, {1, false, false}}, topo);
-  EXPECT_FALSE(unattested.all_healthy);
-  EXPECT_EQ(to_string(QosaLevel::kFull), "full");
 }
 
 DeviceSpec small_spec() {
