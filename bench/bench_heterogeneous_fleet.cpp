@@ -18,6 +18,7 @@
 
 #include "analysis/bench_report.h"
 #include "analysis/table.h"
+#include "hw/memory.h"
 #include "obs/phase.h"
 #include "scenario/metrics.h"
 #include "scenario/sharded_runner.h"
@@ -62,6 +63,8 @@ struct BenchRun {
   double collections_per_s = 0.0; // device-collections per wall second
   size_t collected = 0;           // device-collections (deterministic)
   size_t healthy = 0;             // verified-healthy judgements
+  size_t mem_private_bytes = 0;   // device memory owned per device, summed
+  size_t mem_logical_bytes = 0;   // device memory as the devices see it
   obs::PhaseProfiler::Report phases;  // shard work / barrier wait / drain
   std::string metrics_json;
 };
@@ -87,6 +90,11 @@ BenchRun run_at(size_t threads) {
   }
 
   BenchRun result;
+  for (swarm::DeviceId id = 0; id < runner.size(); ++id) {
+    const hw::DeviceMemory& mem = runner.prover(id).memory();
+    result.mem_private_bytes += mem.private_bytes();
+    result.mem_logical_bytes += mem.total_size();
+  }
   result.collected = collected;
   result.healthy = healthy;
   result.build_ms =
@@ -152,6 +160,13 @@ int main(int argc, char** argv) {
   }
   bench.sample("collected", static_cast<double>(last.collected));
   bench.sample("healthy", static_cast<double>(last.healthy));
+  // Exact memory counters: every device's full memory counts in the logical
+  // size, but a still-shared golden image counts in no device's private
+  // size, so undoing the sharing moves fleet_mem_private_bytes on any host.
+  bench.sample("fleet_mem_private_bytes",
+               static_cast<double>(last.mem_private_bytes));
+  bench.sample("fleet_mem_logical_bytes",
+               static_cast<double>(last.mem_logical_bytes));
   // Headline: fraction of available worker thread-time NOT spent advancing
   // shards, at the widest thread count this run exercised.
   bench.sample("barrier_wait_share", last.phases.barrier_wait_share);

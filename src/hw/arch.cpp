@@ -1,23 +1,41 @@
 #include "hw/arch.h"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "crypto/hash.h"
 
 namespace erasmus::hw {
 
 namespace {
 
-// Fills a region with deterministic pseudo-content standing in for a binary
-// image (kernel, PrAtt, ROM code). Content only matters for integrity
-// digests, so a cheap LCG byte stream suffices.
-void fill_image(DeviceMemory& mem, RegionId region, uint32_t tag) {
-  const size_t size = mem.region_size(region);
-  Bytes image(size);
+// A fixed vendor image (kernel, PrAtt, ROM code) and its SHA-256. Content
+// only matters for integrity digests, so a cheap LCG byte stream stands in
+// for the binary.
+struct GoldenImage {
+  std::shared_ptr<const Bytes> bytes;
+  Bytes sha256;
+};
+
+// One immutable image per (tag, size), built on first use and shared by
+// every device in the process. Each entry is a pure function of its key,
+// so neither build order nor thread count can change it.
+const GoldenImage& golden_image(uint32_t tag, size_t size) {
+  static std::mutex mu;
+  static std::map<std::pair<uint32_t, size_t>, GoldenImage> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto key = std::make_pair(tag, size);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  auto image = std::make_shared<Bytes>(size);
   uint32_t x = 0x12345678u ^ tag;
-  for (auto& b : image) {
+  for (auto& b : *image) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<uint8_t>(x >> 24);
   }
-  mem.provision(region, 0, image);
+  Bytes digest = crypto::Hash::digest(crypto::HashAlgo::kSha256, *image);
+  return cache.emplace(key, GoldenImage{std::move(image), std::move(digest)})
+      .first->second;
 }
 
 }  // namespace
@@ -60,14 +78,17 @@ ByteView SecurityArch::key_for(const ProtectedContext&) const {
 SmartPlusArch::SmartPlusArch(Bytes key, size_t rom_bytes, size_t app_ram_bytes,
                              size_t store_bytes)
     : SecurityArch(std::move(key)) {
-  rom_ = memory_.add_region("rom", rom_bytes, policy::kRom);
+  // The ROM image is burned in at manufacture: every device maps the one
+  // shared golden image (kRom forbids even privileged writes afterwards).
+  rom_ = memory_.add_image_region(
+      "rom", golden_image(/*tag=*/0x534d4152u, rom_bytes).bytes,  // "SMAR"
+      policy::kRom);
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
   app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
-  // The ROM image and K are burned in at manufacture (provision bypasses the
-  // run-time policy; kRom/kKey forbid even privileged writes afterwards).
-  fill_image(memory_, rom_, /*tag=*/0x534d4152u);  // "SMAR"
+  // K is provisioned at manufacture too (provision bypasses the run-time
+  // policy; kKey forbids even privileged writes afterwards).
   memory_.provision(key_region_, 0, key_);
 }
 
@@ -81,23 +102,25 @@ const std::string& SmartPlusArch::name() const {
 HydraArch::HydraArch(Bytes key, size_t app_ram_bytes, size_t store_bytes)
     : SecurityArch(std::move(key)) {
   // Sizes follow the paper's Table 1 scale: the seL4 kernel plus PrAtt image
-  // is a couple hundred KB.
-  kernel_ = memory_.add_region("sel4_kernel", 160 * 1024,
-                               RegionPolicy{Access::kRead, Access::kReadWrite});
-  pratt_ = memory_.add_region("pratt", 72 * 1024,
-                              RegionPolicy{Access::kRead, Access::kReadWrite});
+  // is a couple hundred KB. Both map shared golden images, whose digests
+  // are what secure boot expects.
+  const GoldenImage& kernel = golden_image(/*tag=*/0x73654c34u,  // "seL4"
+                                           160 * 1024);
+  const GoldenImage& pratt = golden_image(/*tag=*/0x50724174u,  // "PrAt"
+                                          72 * 1024);
+  kernel_ = memory_.add_image_region(
+      "sel4_kernel", kernel.bytes,
+      RegionPolicy{Access::kRead, Access::kReadWrite});
+  pratt_ = memory_.add_image_region(
+      "pratt", pratt.bytes, RegionPolicy{Access::kRead, Access::kReadWrite});
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
   app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
 
-  fill_image(memory_, kernel_, /*tag=*/0x73654c34u);  // "seL4"
-  fill_image(memory_, pratt_, /*tag=*/0x50724174u);   // "PrAt"
   memory_.provision(key_region_, 0, key_);
-  kernel_digest_ = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, memory_.view(kernel_, /*privileged=*/true));
-  pratt_digest_ = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, memory_.view(pratt_, /*privileged=*/true));
+  kernel_digest_ = kernel.sha256;
+  pratt_digest_ = pratt.sha256;
 
   // HYDRA: PrAtt is the initial user-space process at top priority; all
   // other processes are spawned by it at strictly lower priorities.
@@ -105,6 +128,8 @@ HydraArch::HydraArch(Bytes key, size_t app_ram_bytes, size_t store_bytes)
 }
 
 void HydraArch::secure_boot() {
+  // Hashes this device's own bytes every time: a device whose image was
+  // written to has private bytes, which the golden digests must catch.
   const Bytes kd = crypto::Hash::digest(
       crypto::HashAlgo::kSha256, memory_.view(kernel_, /*privileged=*/true));
   const Bytes pd = crypto::Hash::digest(

@@ -2,10 +2,39 @@
 
 namespace erasmus::hw {
 
+namespace {
+
+// offset + len <= size, without the wrap-around a huge offset would cause.
+bool in_bounds(size_t size, size_t offset, size_t len) {
+  return offset <= size && len <= size - offset;
+}
+
+}  // namespace
+
 RegionId DeviceMemory::add_region(std::string name, size_t size,
                                   RegionPolicy policy) {
-  regions_.push_back(Region{std::move(name), Bytes(size, 0), policy});
+  regions_.push_back(Region{std::move(name), Bytes(size, 0), nullptr, policy});
   return regions_.size() - 1;
+}
+
+RegionId DeviceMemory::add_image_region(std::string name,
+                                        std::shared_ptr<const Bytes> image,
+                                        RegionPolicy policy) {
+  if (!image) {
+    throw std::invalid_argument("DeviceMemory: null image for region '" +
+                                name + "'");
+  }
+  regions_.push_back(Region{std::move(name), Bytes{}, std::move(image),
+                            policy});
+  return regions_.size() - 1;
+}
+
+Bytes& DeviceMemory::Region::own() {
+  if (image) {
+    data = *image;
+    image.reset();
+  }
+  return data;
 }
 
 const DeviceMemory::Region& DeviceMemory::region_at(RegionId id) const {
@@ -17,7 +46,7 @@ const DeviceMemory::Region& DeviceMemory::region_at(RegionId id) const {
 
 void DeviceMemory::check(const Region& r, bool privileged, bool write,
                          size_t offset, size_t len) const {
-  if (offset + len > r.data.size()) {
+  if (!in_bounds(r.size(), offset, len)) {
     throw AccessViolation("DeviceMemory: out-of-bounds access to region '" +
                           r.name + "'");
   }
@@ -38,7 +67,8 @@ Bytes DeviceMemory::read(RegionId region, size_t offset, size_t len,
                          bool privileged) const {
   const Region& r = region_at(region);
   check(r, privileged, /*write=*/false, offset, len);
-  return Bytes(r.data.begin() + offset, r.data.begin() + offset + len);
+  const ByteView b = r.bytes().subspan(offset, len);
+  return Bytes(b.begin(), b.end());
 }
 
 void DeviceMemory::write(RegionId region, size_t offset, ByteView data,
@@ -48,7 +78,7 @@ void DeviceMemory::write(RegionId region, size_t offset, ByteView data,
   }
   Region& r = regions_[region];
   check(r, privileged, /*write=*/true, offset, data.size());
-  std::copy(data.begin(), data.end(), r.data.begin() + offset);
+  std::copy(data.begin(), data.end(), r.own().begin() + offset);
 }
 
 void DeviceMemory::provision(RegionId region, size_t offset, ByteView data) {
@@ -56,21 +86,21 @@ void DeviceMemory::provision(RegionId region, size_t offset, ByteView data) {
     throw std::out_of_range("DeviceMemory: bad region id");
   }
   Region& r = regions_[region];
-  if (offset + data.size() > r.data.size()) {
+  if (!in_bounds(r.size(), offset, data.size())) {
     throw AccessViolation("DeviceMemory: provision out of bounds in region '" +
                           r.name + "'");
   }
-  std::copy(data.begin(), data.end(), r.data.begin() + offset);
+  std::copy(data.begin(), data.end(), r.own().begin() + offset);
 }
 
 ByteView DeviceMemory::view(RegionId region, bool privileged) const {
   const Region& r = region_at(region);
-  check(r, privileged, /*write=*/false, 0, r.data.size());
-  return ByteView(r.data);
+  check(r, privileged, /*write=*/false, 0, r.size());
+  return r.bytes();
 }
 
 size_t DeviceMemory::region_size(RegionId region) const {
-  return region_at(region).data.size();
+  return region_at(region).size();
 }
 
 const std::string& DeviceMemory::region_name(RegionId region) const {
@@ -78,6 +108,12 @@ const std::string& DeviceMemory::region_name(RegionId region) const {
 }
 
 size_t DeviceMemory::total_size() const {
+  size_t total = 0;
+  for (const auto& r : regions_) total += r.size();
+  return total;
+}
+
+size_t DeviceMemory::private_bytes() const {
   size_t total = 0;
   for (const auto& r : regions_) total += r.data.size();
   return total;

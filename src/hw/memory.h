@@ -12,9 +12,17 @@
 // Every access carries a privilege flag (inside vs. outside protected
 // attestation code); violating a region policy throws AccessViolation,
 // modelling the hardware fault the real MCU rules would raise.
+//
+// Fixed vendor images (SMART+ ROM, HYDRA's seL4 and PrAtt) are
+// image-backed: every device's region reads through to one shared
+// immutable image until its first successful write or provision, which
+// copies the image into the region's private bytes. A view() taken before
+// such a write keeps showing the old bytes, so never hold one across a
+// write.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +61,13 @@ class DeviceMemory {
   /// Appends a region of `size` bytes (zero-initialised) and returns its id.
   RegionId add_region(std::string name, size_t size, RegionPolicy policy);
 
+  /// Appends a region backed by the shared immutable `image` and returns
+  /// its id. Reads go to `image` until the first successful write or
+  /// provision, which gives this region its own copy first.
+  RegionId add_image_region(std::string name,
+                            std::shared_ptr<const Bytes> image,
+                            RegionPolicy policy);
+
   /// Reads `len` bytes at `offset` within the region.
   Bytes read(RegionId region, size_t offset, size_t len,
              bool privileged) const;
@@ -73,12 +88,20 @@ class DeviceMemory {
 
   /// Total bytes across all regions.
   size_t total_size() const;
+  /// Bytes this memory owns: total_size() minus still-shared images.
+  size_t private_bytes() const;
 
  private:
   struct Region {
     std::string name;
-    Bytes data;
+    Bytes data;                          // private bytes; empty while shared
+    std::shared_ptr<const Bytes> image;  // shared image until first write
     RegionPolicy policy;
+
+    ByteView bytes() const { return image ? ByteView(*image) : data; }
+    size_t size() const { return image ? image->size() : data.size(); }
+    /// Copies the shared image into private bytes (no-op once private).
+    Bytes& own();
   };
 
   const Region& region_at(RegionId id) const;

@@ -54,6 +54,13 @@ SwarmRoundResult run_round(RandomWaypointMobility& mobility, sim::Time t0,
   std::vector<sim::Time> ready(n, sim::Time::zero());
   std::vector<bool> report_arrived(n, false);  // v's aggregate reached parent
 
+  // Every node's children, ascending, bucketed from parent[] in one pass
+  // (SpanningTree::children() is O(N) per call).
+  std::vector<std::vector<DeviceId>> children(n);
+  for (DeviceId u = 0; u < n; ++u) {
+    if (u != root && tree.parent[u]) children[*tree.parent[u]].push_back(u);
+  }
+
   std::vector<DeviceId> up_order = order;
   std::sort(up_order.begin(), up_order.end(), [&](DeviceId a, DeviceId b) {
     return tree.depth[a] > tree.depth[b];
@@ -63,7 +70,7 @@ SwarmRoundResult run_round(RandomWaypointMobility& mobility, sim::Time t0,
     if (!received[v]) continue;
     gathered[v] = 1;  // own report
     ready[v] = arrival[v] + per_device_time;
-    for (DeviceId c : tree.children(v)) {
+    for (DeviceId c : children[v]) {
       if (report_arrived[c]) {
         gathered[v] += gathered[c];
         const sim::Time child_arrival = ready[c] + hop_latency;

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <thread>
+#include <vector>
 
+#include "common/hex.h"
+#include "crypto/hash.h"
 #include "hw/arch.h"
 
 namespace erasmus::hw {
@@ -146,6 +150,113 @@ TEST(Hydra, KeyAccessWorksAfterBoot) {
     seen.assign(ctx.key().begin(), ctx.key().end());
   });
   EXPECT_EQ(seen, test_key());
+}
+
+// --- Shared golden images -------------------------------------------------
+
+// The per-device fill every arch used to write into its own image regions:
+// the shared images must keep exactly these bytes.
+Bytes lcg_image(uint32_t tag, size_t size) {
+  Bytes image(size);
+  uint32_t x = 0x12345678u ^ tag;
+  for (auto& b : image) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  return image;
+}
+
+std::string sha256_hex(ByteView data) {
+  return to_hex(crypto::Hash::digest(crypto::HashAlgo::kSha256, data));
+}
+
+TEST(GoldenImage, DigestsMatchTheOldPerDeviceFill) {
+  const SmartPlusArch smart(test_key(), /*rom_bytes=*/8 * 1024, 1024, 512);
+  const HydraArch hydra(test_key(), 1024, 512);
+  const ByteView rom = smart.memory().view(smart.rom_region(), false);
+  const ByteView kernel = hydra.memory().view(hydra.kernel_region(), true);
+  const ByteView pratt = hydra.memory().view(hydra.pratt_region(), true);
+
+  EXPECT_TRUE(equal(rom, lcg_image(0x534d4152u, 8 * 1024)));
+  EXPECT_TRUE(equal(kernel, lcg_image(0x73654c34u, 160 * 1024)));
+  EXPECT_TRUE(equal(pratt, lcg_image(0x50724174u, 72 * 1024)));
+  EXPECT_EQ(sha256_hex(rom),
+            "47861c4e45eca1d5173edb0831cbb28212399f0dd2a72164ba6fe40faaf1ec7e");
+  EXPECT_EQ(sha256_hex(kernel),
+            "d44acfc8408690e6234b3a76e9c97ea76650698ed79ba061a17b3af0fb04f8df");
+  EXPECT_EQ(sha256_hex(pratt),
+            "18ea8a31782baf2b3dbb686323920a29c74250a8481b90da6bf8723fa55e3792");
+}
+
+TEST(GoldenImage, DevicesShareOneImagePerTagAndSize) {
+  const auto a = make_smart();
+  const auto b = make_smart();
+  const SmartPlusArch bigger(test_key(), /*rom_bytes=*/8192, 1024, 512);
+  const ByteView rom_a = a.memory().view(a.rom_region(), false);
+  EXPECT_EQ(rom_a.data(), b.memory().view(b.rom_region(), false).data());
+  EXPECT_NE(rom_a.data(),
+            bigger.memory().view(bigger.rom_region(), false).data());
+  // Only the key, app RAM and store are private.
+  EXPECT_EQ(a.memory().private_bytes(), test_key().size() + 1024 + 512);
+  EXPECT_EQ(a.memory().total_size(),
+            4096 + test_key().size() + 1024 + 512);
+}
+
+TEST(GoldenImage, CorruptedPrAttFailsOnlyThatDevice) {
+  HydraArch victim(test_key(), 1024, 512);
+  HydraArch sibling(test_key(), 1024, 512);
+  const ByteView sibling_pratt =
+      sibling.memory().view(sibling.pratt_region(), true);
+  victim.secure_boot();
+  victim.corrupt_pratt_image();
+  EXPECT_THROW(victim.secure_boot(), SecurityViolation);
+  EXPECT_NO_THROW(sibling.secure_boot());
+  EXPECT_EQ(sibling.memory().view(sibling.pratt_region(), true).data(),
+            sibling_pratt.data());
+  EXPECT_TRUE(equal(sibling_pratt, lcg_image(0x50724174u, 72 * 1024)));
+}
+
+// A ROM size no other test uses, so the threads below race to create its
+// cache entry even when earlier tests already built the HYDRA images.
+constexpr size_t kRaceRomBytes = 3000;
+
+TEST(GoldenImage, ConcurrentBuildsShareOneImage) {
+  constexpr size_t kThreads = 4;
+  std::vector<std::optional<HydraArch>> archs(kThreads);
+  std::vector<std::optional<SmartPlusArch>> smarts(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&archs, &smarts, i] {
+      smarts[i].emplace(test_key(), kRaceRomBytes, 1024, 512);
+      archs[i].emplace(test_key(), 1024, 512);
+      archs[i]->secure_boot();
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const auto rom = [](const SmartPlusArch& a) {
+    return a.memory().view(a.rom_region(), false);
+  };
+  for (size_t i = 0; i < kThreads; ++i) {
+    ASSERT_TRUE(smarts[i].has_value());
+    EXPECT_EQ(rom(*smarts[i]).data(), rom(*smarts[0]).data());
+  }
+  EXPECT_TRUE(equal(rom(*smarts[0]), lcg_image(0x534d4152u, kRaceRomBytes)));
+
+  const auto kernel = [](const HydraArch& a) {
+    return a.memory().view(a.kernel_region(), true);
+  };
+  const auto pratt = [](const HydraArch& a) {
+    return a.memory().view(a.pratt_region(), true);
+  };
+  for (size_t i = 0; i < kThreads; ++i) {
+    ASSERT_TRUE(archs[i].has_value());
+    EXPECT_TRUE(archs[i]->booted());
+    EXPECT_EQ(kernel(*archs[i]).data(), kernel(*archs[0]).data());
+    EXPECT_EQ(pratt(*archs[i]).data(), pratt(*archs[0]).data());
+    EXPECT_EQ(sha256_hex(kernel(*archs[i])), sha256_hex(kernel(*archs[0])));
+    EXPECT_EQ(sha256_hex(pratt(*archs[i])), sha256_hex(pratt(*archs[0])));
+  }
 }
 
 }  // namespace

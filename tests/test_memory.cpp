@@ -2,6 +2,9 @@
 // memory organisation and access rules).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "hw/memory.h"
 
 namespace erasmus::hw {
@@ -65,6 +68,11 @@ TEST(DeviceMemory, OutOfBoundsAccessThrows) {
   EXPECT_THROW(mem.read(app, 4, 8, false), AccessViolation);
   EXPECT_THROW(mem.write(app, 7, Bytes{1, 2}, false), AccessViolation);
   EXPECT_THROW(mem.provision(app, 8, Bytes{1}), AccessViolation);
+  // offset + len must not wrap around to an in-bounds sum.
+  const size_t huge = std::numeric_limits<size_t>::max();
+  EXPECT_THROW(mem.read(app, huge, 2, false), AccessViolation);
+  EXPECT_THROW(mem.write(app, huge, Bytes{1, 2}, false), AccessViolation);
+  EXPECT_THROW(mem.provision(app, huge, Bytes{1, 2}), AccessViolation);
 }
 
 TEST(DeviceMemory, BadRegionIdThrows) {
@@ -96,6 +104,84 @@ TEST(DeviceMemory, ZeroLengthAccessAtEndIsAllowed) {
   const RegionId app = mem.add_region("app", 4, policy::kAppRam);
   EXPECT_EQ(mem.read(app, 4, 0, false), Bytes{});
   EXPECT_NO_THROW(mem.write(app, 4, Bytes{}, false));
+}
+
+// --- Image-backed regions -------------------------------------------------
+
+std::shared_ptr<const Bytes> test_image() {
+  return std::make_shared<const Bytes>(Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+}
+
+constexpr RegionPolicy kWritableImage{Access::kRead, Access::kReadWrite};
+
+TEST(DeviceMemoryImage, ReadsThroughToSharedImage) {
+  const auto image = test_image();
+  DeviceMemory mem;
+  const RegionId r = mem.add_image_region("img", image, policy::kRom);
+  EXPECT_EQ(mem.view(r, false).data(), image->data());
+  EXPECT_EQ(mem.read(r, 2, 3, false), (Bytes{3, 4, 5}));
+  EXPECT_EQ(mem.region_size(r), 8u);
+  EXPECT_EQ(mem.total_size(), 8u);
+  EXPECT_EQ(mem.private_bytes(), 0u);
+}
+
+TEST(DeviceMemoryImage, WriteUnsharesOnlyThatDevice) {
+  const auto image = test_image();
+  DeviceMemory a;
+  DeviceMemory b;
+  const RegionId ra = a.add_image_region("img", image, kWritableImage);
+  const RegionId rb = b.add_image_region("img", image, kWritableImage);
+  const ByteView b_before = b.view(rb, true);
+
+  a.write(ra, 1, Bytes{0xee}, /*privileged=*/true);
+
+  EXPECT_EQ(a.read(ra, 0, 3, true), (Bytes{1, 0xee, 3}));
+  EXPECT_NE(a.view(ra, true).data(), image->data());
+  EXPECT_EQ(a.private_bytes(), 8u);
+  // The sibling and the shared image are untouched.
+  EXPECT_EQ(b.view(rb, true).data(), b_before.data());
+  EXPECT_EQ(b.view(rb, true).data(), image->data());
+  EXPECT_EQ(b.read(rb, 0, 8, true), *image);
+  EXPECT_EQ(b.private_bytes(), 0u);
+  EXPECT_EQ(*image, (Bytes{1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(DeviceMemoryImage, DeniedWriteLeavesRegionShared) {
+  const auto image = test_image();
+  DeviceMemory mem;
+  const RegionId rom = mem.add_image_region("rom", image, policy::kRom);
+  const RegionId img = mem.add_image_region("img", image, kWritableImage);
+  // Policy denial.
+  EXPECT_THROW(mem.write(rom, 0, Bytes{9}, /*privileged=*/true),
+               AccessViolation);
+  EXPECT_THROW(mem.write(img, 0, Bytes{9}, /*privileged=*/false),
+               AccessViolation);
+  // Bounds denial, through write and provision alike.
+  EXPECT_THROW(mem.write(img, 7, Bytes{9, 9}, /*privileged=*/true),
+               AccessViolation);
+  EXPECT_THROW(mem.provision(rom, 8, Bytes{9}), AccessViolation);
+  EXPECT_EQ(mem.private_bytes(), 0u);
+  EXPECT_EQ(mem.view(rom, false).data(), image->data());
+  EXPECT_EQ(mem.view(img, false).data(), image->data());
+}
+
+TEST(DeviceMemoryImage, ProvisionCopiesOnFirstWrite) {
+  const auto image = test_image();
+  DeviceMemory mem;
+  const RegionId rom = mem.add_image_region("rom", image, policy::kRom);
+  mem.add_region("app", 4, policy::kAppRam);
+  EXPECT_EQ(mem.private_bytes(), 4u);
+  mem.provision(rom, 7, Bytes{0xaa});
+  EXPECT_EQ(mem.read(rom, 6, 2, false), (Bytes{7, 0xaa}));
+  EXPECT_EQ(mem.private_bytes(), 12u);
+  EXPECT_EQ(mem.total_size(), 12u);
+  EXPECT_EQ((*image)[7], 8);
+}
+
+TEST(DeviceMemoryImage, NullImageRejected) {
+  DeviceMemory mem;
+  EXPECT_THROW(mem.add_image_region("img", nullptr, policy::kRom),
+               std::invalid_argument);
 }
 
 // Access-policy matrix, parameterised: every (policy, privilege, op) cell.

@@ -252,6 +252,24 @@ def self_test():
                 len(gate({"radio_bytes": 4e9}, {"radio_bytes": 4e9 + 1},
                          out=null)), 1)
 
+        def test_bytes_quantity_gated_exactly(self):
+            # Memory counters (fleet_mem_*_bytes) are exact counts: not
+            # wall-clock, so one byte of drift fails, and losing the
+            # quantity fails by name.
+            for name in ("fleet_mem_private_bytes",
+                         "fleet_mem_logical_bytes"):
+                self.assertFalse(WALL_CLOCK.search(name), name)
+            base = {"fleet_mem_private_bytes": 3648000.0}
+            self.assertEqual(gate(base, dict(base), out=null), [])
+            failures = gate(base, {"fleet_mem_private_bytes": 3648001.0},
+                            out=null)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("fleet_mem_private_bytes", failures[0])
+            failures = gate(base, {}, out=null)
+            self.assertEqual(len(failures), 1)
+            self.assertIn("fleet_mem_private_bytes", failures[0])
+            self.assertIn("missing", failures[0])
+
         def test_improvement_also_fails(self):
             # Sim-derived drift fails in BOTH directions: "better" numbers
             # still mean behaviour changed under a fixed seed.
