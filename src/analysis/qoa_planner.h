@@ -10,6 +10,13 @@
 //
 // using the closed forms of attest/qoa.h and the energy model of
 // sim/energy.h.
+//
+// energy/planner.h is the other planner and answers a different question.
+// It has no hard goal: for a fleet in a given radio deployment it picks the
+// T_M, window policy and collection backend that maximise QoA per joule,
+// and hands the runner a config. This one keeps the hard bounds, minimises
+// energy subject to them, also sizes T_C and the buffer n, and says when
+// the goal is infeasible. Neither objective can stand in for the other.
 #pragma once
 
 #include <optional>

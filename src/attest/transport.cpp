@@ -1,7 +1,6 @@
 #include "attest/transport.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "attest/prover.h"
 
@@ -45,39 +44,6 @@ void NetworkTransport::set_receiver(Receiver receiver) {
 
 void DirectTransport::attach(net::NodeId node, Prover& prover) {
   provers_[node] = &prover;
-}
-
-void DirectTransport::enable_batch_serve(common::ParallelExecutor& executor,
-                                         size_t domains, net::NodeId sink) {
-  if (provers_.empty()) {
-    throw std::logic_error(
-        "DirectTransport: enable_batch_serve before any attach");
-  }
-  net::NodeId lo = provers_.begin()->first;
-  net::NodeId hi = lo;
-  for (const auto& [node, prover] : provers_) {
-    lo = std::min(lo, node);
-    hi = std::max(hi, node);
-  }
-  executor_ = &executor;
-  domain_base_ = lo;
-  domain_span_ = static_cast<size_t>(hi - lo) + 1;
-  // The domain count is a property of the FLEET, never of the thread
-  // count: channel traffic (and everything derived from it) must be
-  // byte-identical at any thread count, so the partition cannot follow
-  // the executor's width.
-  domains_ = std::min(domains, domain_span_);
-  if (domains_ == 0) domains_ = 1;
-  channels_ = std::make_unique<net::ShardChannels>(domains_);
-  sink_domain_ = domain_of(sink);
-}
-
-size_t DirectTransport::domain_of(net::NodeId node) const {
-  if (node < domain_base_) return 0;
-  const size_t offset = static_cast<size_t>(node - domain_base_);
-  if (offset >= domain_span_) return domains_ - 1;
-  // Contiguous blocks over the attached id range.
-  return offset * domains_ / domain_span_;
 }
 
 void DirectTransport::serve_collect(net::NodeId peer,
@@ -144,44 +110,37 @@ void DirectTransport::broadcast(const std::vector<net::NodeId>& peers,
 
 void DirectTransport::serve_collect_batch(
     const std::vector<net::NodeId>& peers, const CollectRequest& req) {
-  // Partition the batch by radio domain, preserving batch order within
-  // each domain (that order becomes the per-channel sequence).
-  std::vector<std::vector<net::NodeId>> by_domain(domains_);
-  for (const net::NodeId peer : peers) {
-    by_domain[domain_of(peer)].push_back(peer);
-  }
-  std::vector<size_t> live;
-  live.reserve(domains_);
-  for (size_t d = 0; d < domains_; ++d) {
-    if (!by_domain[d].empty()) live.push_back(d);
-  }
-  // Parallel phase: each domain serves its own provers. A prover touches
-  // only its own state and handle_collect is crypto-free (records are
-  // pre-MAC'd at measurement time), so the only shared structure is the
-  // read-only prover table. Responses go onto the domain->sink channel.
-  executor_->run(live.size(), [&](size_t j) {
-    const size_t d = live[j];
-    for (const net::NodeId peer : by_domain[d]) {
-      const auto it = provers_.find(peer);
+  // Parallel phase: contiguous chunks of the batch, one reply slot per
+  // peer. A prover touches only its own state and handle_collect is
+  // crypto-free (records are pre-MAC'd at measurement time), so the only
+  // shared structure is the read-only prover table. The chunking follows
+  // the executor's width (four chunks per worker, so one slow chunk does
+  // not idle the rest); it cannot reach any output, because delivery
+  // below walks the slots in `peers` order.
+  struct Reply {
+    bool served = false;
+    sim::Duration processing;
+    Bytes payload;
+  };
+  const size_t n = peers.size();
+  std::vector<Reply> replies(n);
+  const size_t chunks = std::min(n, executor_->threads() * 4);
+  executor_->run(chunks, [&](size_t c) {
+    for (size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
+      const auto it = provers_.find(peers[i]);
       if (it == provers_.end()) continue;  // silent drop, like send()
       const auto res = it->second->handle_collect(req);
-      net::ChannelFrame frame;
-      frame.src = peer;
-      frame.tag = static_cast<uint32_t>(MsgType::kCollectResponse);
-      frame.aux = res.processing.ns();
-      frame.payload = res.response.serialize();
-      channels_->push(d, sink_domain_, std::move(frame));
+      replies[i] = {true, res.processing, res.response.serialize()};
     }
   });
-  // Drain phase, after the join: deliver in (domain, sequence) order --
-  // for an id-sorted batch over contiguous domains, exactly the
-  // sequential loop's order.
-  channels_->drain(sink_domain_, [this](const net::ChannelFrame& frame) {
-    last_processing_ = sim::Duration(frame.aux);
-    if (receiver_) {
-      receiver_(frame.src, static_cast<MsgType>(frame.tag), frame.payload);
+  // Delivery, after the join: the send() loop's order and its
+  // last_processing() rule (zero when the final peer produced no reply).
+  for (size_t i = 0; i < n; ++i) {
+    last_processing_ = replies[i].processing;
+    if (replies[i].served && receiver_) {
+      receiver_(peers[i], MsgType::kCollectResponse, replies[i].payload);
     }
-  });
+  }
 }
 
 void DirectTransport::set_receiver(Receiver receiver) {

@@ -19,14 +19,12 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "attest/protocol.h"
 #include "common/parallel.h"
 #include "net/network.h"
-#include "net/shard_channels.h"
 #include "sim/time.h"
 
 namespace erasmus::attest {
@@ -131,30 +129,25 @@ class DirectTransport : public Transport {
   /// Prover::CollectResult). Zero when the last send produced no reply.
   sim::Duration last_processing() const { return last_processing_; }
 
-  /// Shard-local radio domains: partitions the attached endpoints into
-  /// `domains` contiguous-id blocks and serves collect broadcasts domain-
-  /// parallel. Each domain's worker runs its own provers and pushes the
-  /// response frames onto its domain->sink channel; the frames are then
-  /// drained into the receiver in deterministic (domain, sequence) order.
-  /// For an id-sorted batch over contiguous domains that is exactly the
-  /// order the sequential loop delivered, so observable behaviour is
-  /// unchanged -- only the prover-side work runs in parallel. `sink` is
-  /// the endpoint the verifier is co-located with: frames from its domain
-  /// count as local traffic, everything else as cross-domain.
-  /// Call AFTER the last attach(); `executor` must outlive the transport.
-  void enable_batch_serve(common::ParallelExecutor& executor, size_t domains,
-                          net::NodeId sink);
-  /// The domain an attached endpoint belongs to (batch serve only).
-  size_t domain_of(net::NodeId node) const;
-  /// Channel traffic counters (nullptr until batch serve is enabled).
-  const net::ShardChannels* channels() const { return channels_.get(); }
+  /// Serves collect broadcasts of >= 2 peers on `executor`: workers run
+  /// handle_collect for contiguous chunks of the batch, each writing the
+  /// reply into its peer's slot, and the caller then delivers the slots in
+  /// `peers` order and sets last_processing() exactly as the send() loop
+  /// does. Only prover-side work runs in parallel, so observable behaviour
+  /// is the send() loop's at any executor width. `peers` must not repeat
+  /// an endpoint (the service admits each device once per round): two
+  /// workers would otherwise serve one prover. `executor` must outlive
+  /// the transport.
+  void enable_batch_serve(common::ParallelExecutor& executor) {
+    executor_ = &executor;
+  }
 
  private:
   /// Per-peer dispatch of an already-decoded request (send() and
   /// broadcast() decode once, then share these).
   void serve_collect(net::NodeId peer, const CollectRequest& req);
   void serve_od(net::NodeId peer, const OdRequest& req);
-  /// The domain-parallel broadcast path (batch serve enabled, >= 2 peers).
+  /// The slot-parallel broadcast path (batch serve enabled, >= 2 peers).
   void serve_collect_batch(const std::vector<net::NodeId>& peers,
                            const CollectRequest& req);
 
@@ -162,13 +155,7 @@ class DirectTransport : public Transport {
   Receiver receiver_;
   sim::Duration last_processing_;
 
-  // Batch serve state (inert until enable_batch_serve).
-  common::ParallelExecutor* executor_ = nullptr;
-  std::unique_ptr<net::ShardChannels> channels_;
-  size_t domains_ = 0;
-  size_t sink_domain_ = 0;
-  net::NodeId domain_base_ = 0;  // attached id range: [base, base + span)
-  size_t domain_span_ = 0;
+  common::ParallelExecutor* executor_ = nullptr;  // batch serve (or null)
 };
 
 }  // namespace erasmus::attest

@@ -5,7 +5,14 @@
 // GOAL"; this planner answers the field operator's dual question: "given
 // the deployment I actually have (radio loss, relay depth, battery), which
 // runtime configuration buys the most QoA per joule?" -- and its Decision
-// plugs straight into ShardedFleetConfig, subsuming the static path.
+// plugs straight into ShardedFleetConfig.
+//
+// Both planners exist because neither question reduces to the other. This
+// one has no hard goal: it maximises a ratio over T_M and the runtime
+// policy, and never chooses T_C or the buffer size n. analysis::plan_qoa
+// has hard detection, latency and battery-life bounds, minimises energy
+// subject to them, sizes T_C and n, and reports when no grid point is
+// feasible -- per device, before deployment (bench_ablation_energy).
 //
 // The shape of the optimum: per-mission energy is E(tm) = a/tm + b
 // (measurements every tm cost a/tm; radio + sleep are ~tm-independent),

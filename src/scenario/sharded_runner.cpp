@@ -20,22 +20,11 @@ namespace {
 constexpr size_t kDirectRequestBytes = 24;
 constexpr size_t kDirectReportHeaderBytes = 20;
 constexpr size_t kDirectRecordBytes = 73;
-
-// Virtual radio domains for the kDirect batch serve. A property of the
-// FLEET, deliberately independent of the thread count: channel traffic
-// counters must be byte-identical at 1/2/8 threads, so the partition can
-// never follow the executor's width. 16 keeps the job pool wide enough
-// for any shard count this runner targets.
-constexpr size_t kVirtualDomains = 16;
 }  // namespace
 
 WindowSpec WindowSpec::parse(const std::string& text) {
   WindowSpec spec;
-  if (text == "default") {
-    spec.mode = Mode::kBackendDefault;
-    return spec;
-  }
-  if (text == "fleet") {
+  if (text == "default" || text == "fleet") {
     spec.mode = Mode::kFleet;
     return spec;
   }
@@ -63,20 +52,15 @@ WindowSpec WindowSpec::parse(const std::string& text) {
   return spec;
 }
 
-attest::WindowConfig WindowSpec::resolve(CollectionBackend /*backend*/,
-                                         size_t fleet) const {
+attest::WindowConfig WindowSpec::resolve(size_t fleet) const {
   attest::WindowConfig wc;
   switch (mode) {
-    case Mode::kBackendDefault:
-      // Both backends default to a fleet-sized window. Under kDirect every
-      // session completes synchronously inside the dispatch loop, so the
-      // window only bounds transient state -- and a fleet-wide batch lets
-      // the batched serve/verify path fan the whole round out once instead
-      // of in window-sized slices. kOverlay floods the whole swarm in one
-      // batch as it always did.
-      wc.fixed = fleet;
-      break;
     case Mode::kFleet:
+      // Under kDirect every session completes synchronously inside the
+      // dispatch loop, so the window only bounds transient state -- and a
+      // fleet-wide batch lets the batched serve/verify path fan the whole
+      // round out once instead of in window-sized slices. kOverlay floods
+      // the whole swarm in one batch.
       wc.fixed = fleet;
       break;
     case Mode::kFixed:
@@ -131,15 +115,9 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   }
 
   if (config_.backend == CollectionBackend::kDirect) {
-    // Shard-local radio domains: collect broadcasts are served
-    // domain-parallel on the pool, responses crossing domains over SPSC
-    // channels drained in deterministic (domain, sequence) order. The
-    // domain count follows the fleet, never the thread count.
-    direct_transport_.enable_batch_serve(
-        *executor_, std::min(kVirtualDomains, specs_.size()), config_.root);
-    channel_inst_.frames_local = &metrics_.counter("channels", "frames_local");
-    channel_inst_.frames_cross = &metrics_.counter("channels", "frames_cross");
-    channel_inst_.drains = &metrics_.counter("channels", "drains");
+    // Collect broadcasts are served chunk-parallel on the pool into
+    // per-peer reply slots, delivered afterwards in batch order.
+    direct_transport_.enable_batch_serve(*executor_);
   }
 
   // The flight recorder is process-global (installed by the CLI's --trace
@@ -152,7 +130,7 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
 
   attest::ServiceConfig sc;
   sc.keep_audit = false;  // million-device fleets aggregate via rows instead
-  sc.window = config_.window.resolve(config_.backend, specs_.size());
+  sc.window = config_.window.resolve(specs_.size());
   sc.trace = trace_;
   sc.metrics = &metrics_;
   // Batched verifier-core crypto at collection barriers: responses a
@@ -706,11 +684,6 @@ std::vector<FleetRoundResult> ShardedFleetRunner::run(MetricsSink& sink) {
       sweep_dark();
     }
     if (round_hook_) round_hook_(*this, round, barrier);
-    const OverlayTotals before = overlay_totals();
-    const overlay::RelayTransport::Stats transport_before =
-        relay_transport_ ? relay_transport_->stats()
-                         : overlay::RelayTransport::Stats{};
-    const AggregateCounters agg_before = agg_counters_;
     FleetRoundResult r = collect_round(round, barrier);
     if (energy_meter_) {
       sweep_dark();  // radio/direct transitions from this collection
@@ -739,17 +712,24 @@ std::vector<FleetRoundResult> ShardedFleetRunner::run(MetricsSink& sink) {
       rounds_row.push_back({"dark", static_cast<uint64_t>(r.dark)});
     }
     sink.row("rounds", rounds_row);
-    emit_window_round(sink, round, transport_before);
+    // Per-round tables are deltas against the previous round's last_*
+    // copies. Nothing runs on the coordinator queue between a round's last
+    // row and the next round's collect_round, so those copies equal the
+    // counters as that collection starts.
+    const OverlayTotals overlay = overlay_totals();
+    emit_window_round(sink, round);
     if (config_.backend == CollectionBackend::kOverlay) {
-      emit_overlay_round(sink, round, before);
+      emit_overlay_round(sink, round, overlay);
       if (config_.overlay.aggregation.enabled) {
-        emit_aggregate_round(sink, round, agg_before, transport_before);
+        emit_aggregate_round(sink, round);
       }
     }
     emit_energy_round(sink, round);
-    emit_adversary_round(sink, round, before);
-    sync_channel_metrics(barrier);
+    emit_adversary_round(sink, round, overlay);
     emit_metrics_round(sink, round);
+    last_overlay_ = overlay;
+    if (relay_transport_) last_transport_ = relay_transport_->stats();
+    last_agg_ = agg_counters_;
     phases_.record_coordinator(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - coord_start)
@@ -758,9 +738,7 @@ std::vector<FleetRoundResult> ShardedFleetRunner::run(MetricsSink& sink) {
   return results;
 }
 
-void ShardedFleetRunner::emit_window_round(
-    MetricsSink& sink, size_t round,
-    const overlay::RelayTransport::Stats& before) {
+void ShardedFleetRunner::emit_window_round(MetricsSink& sink, size_t round) {
   // The service resets round stats at each round start, so these are the
   // collection we just ran -- the window trajectory the AIMD controller
   // took, and how deep the dispatch pipeline actually got.
@@ -782,6 +760,7 @@ void ShardedFleetRunner::emit_window_round(
   // cached route, how many had to fall back, and how often a route broke
   // mid-unicast.
   const overlay::RelayTransport::Stats& now = relay_transport_->stats();
+  const overlay::RelayTransport::Stats& before = last_transport_;
   sink.row("scoped_retry",
            {{"round", static_cast<uint64_t>(round)},
             {"scoped", now.scoped_sent - before.scoped_sent},
@@ -827,10 +806,10 @@ ShardedFleetRunner::OverlayTotals ShardedFleetRunner::overlay_totals() const {
 }
 
 void ShardedFleetRunner::emit_overlay_round(MetricsSink& sink, size_t round,
-                                            const OverlayTotals& before) {
+                                            const OverlayTotals& now) {
   // Per-round per-hop behaviour as deltas of the cumulative counters: one
   // "overlay" row per round, plus the round's hop-count distribution.
-  const OverlayTotals now = overlay_totals();
+  const OverlayTotals& before = last_overlay_;
   sink.row(
       "overlay",
       {{"round", static_cast<uint64_t>(round)},
@@ -852,14 +831,15 @@ void ShardedFleetRunner::emit_overlay_round(MetricsSink& sink, size_t round,
   }
 }
 
-void ShardedFleetRunner::emit_aggregate_round(
-    MetricsSink& sink, size_t round, const AggregateCounters& before,
-    const overlay::RelayTransport::Stats& transport_before) {
+void ShardedFleetRunner::emit_aggregate_round(MetricsSink& sink,
+                                              size_t round) {
   // The round's hierarchical-collection economy: how many clusters
   // reported, how many sessions their bitmaps closed, and what the
   // bitmap+root encoding saved over relaying every report raw.
   const AggregateCounters& now = agg_counters_;
+  const AggregateCounters& before = last_agg_;
   const overlay::RelayTransport::Stats& t = relay_transport_->stats();
+  const overlay::RelayTransport::Stats& transport_before = last_transport_;
   const attest::AttestationService::RoundStats& rs = service_->round_stats();
   const uint64_t wire = t.aggregate_wire_bytes -
                         transport_before.aggregate_wire_bytes;
@@ -914,7 +894,7 @@ void ShardedFleetRunner::emit_energy_round(MetricsSink& sink, size_t round) {
 }
 
 void ShardedFleetRunner::emit_adversary_round(MetricsSink& sink, size_t round,
-                                              const OverlayTotals& before) {
+                                              const OverlayTotals& totals) {
   if (!engine_) return;
   // Campaign progress as deltas of the engine's cumulative counters;
   // `active` is a gauge (legs resident right now) and the latency column
@@ -922,7 +902,7 @@ void ShardedFleetRunner::emit_adversary_round(MetricsSink& sink, size_t round,
   // zeros where a family is off -- so the table's shape never depends on
   // which attacks fired.
   const adversary::Engine::Snapshot now = engine_->snapshot();
-  const OverlayTotals totals = overlay_totals();
+  const OverlayTotals& before = last_overlay_;
   sink.row(
       "adversary",
       {{"round", static_cast<uint64_t>(round)},
@@ -941,26 +921,6 @@ void ShardedFleetRunner::emit_adversary_round(MetricsSink& sink, size_t round,
        {"spoofed_rejected",
         totals.spoofed_rejected - before.spoofed_rejected}});
   last_adversary_ = now;
-}
-
-void ShardedFleetRunner::sync_channel_metrics(sim::Time at) {
-  const net::ShardChannels* channels = direct_transport_.channels();
-  if (channels == nullptr || channel_inst_.frames_local == nullptr) return;
-  const net::ShardChannels::Counters& now = channels->counters();
-  const uint64_t local = now.frames_local - last_channel_.frames_local;
-  const uint64_t cross = now.frames_cross - last_channel_.frames_cross;
-  const uint64_t drains = now.drains - last_channel_.drains;
-  channel_inst_.frames_local->add(local);
-  channel_inst_.frames_cross->add(cross);
-  channel_inst_.drains->add(drains);
-  last_channel_ = now;
-  if (trace_ && trace_->enabled(obs::Subsystem::kRunner) &&
-      (local + cross + drains) > 0) {
-    trace_->instant(obs::Subsystem::kRunner, at, "channel_drain",
-                    {{"frames_local", local},
-                     {"frames_cross", cross},
-                     {"drains", drains}});
-  }
 }
 
 void ShardedFleetRunner::emit_metrics_round(MetricsSink& sink, size_t round) {

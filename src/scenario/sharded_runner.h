@@ -19,12 +19,10 @@
 //    barrier instants under coordinator control, sequenced in global
 //    device-id order.
 //  * Barrier-phase work that IS parallel (the kDirect batch serve, the
-//    batched report verify) is restricted to
-//    order-free shapes: pure functions into disjoint per-item slots, or
-//    SPSC channels (net/shard_channels.h) whose drain order is a pure
-//    function of (domain, sequence) -- with domain counts fixed by the
-//    fleet, never by the thread count. Results are then folded back in
-//    sequentially, in the exact order the serial code produced them.
+//    batched report verify) has one shape: pure functions writing
+//    disjoint per-item slots. The slots are then folded back in
+//    sequentially, in the exact order the serial code produced them, so
+//    the chunking of the parallel phase never reaches an output.
 // Hence metrics output is bit-for-bit identical for a fixed seed regardless
 // of thread count, and `threads` is purely a wall-clock knob.
 #pragma once
@@ -40,7 +38,6 @@
 #include "common/parallel.h"
 #include "energy/meter.h"
 #include "net/network.h"
-#include "net/shard_channels.h"
 #include "obs/phase.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -95,21 +92,19 @@ struct OverlayBackendConfig {
   overlay::AggregationConfig aggregation;
 };
 
-/// The service's dispatch window at collection barriers: the backend
-/// default (fleet-sized under both backends), a fixed size, or
-/// AIMD-adaptive (attest/window.h). Parsed from the scenario knob
-/// `window=default|fleet|adaptive|N`.
+/// The service's dispatch window at collection barriers: fleet-sized
+/// (the default under both backends), a fixed size, or AIMD-adaptive
+/// (attest/window.h). Parsed from the scenario knob
+/// `window=default|fleet|adaptive|N`; `default` means `fleet`.
 struct WindowSpec {
-  enum class Mode : uint8_t { kBackendDefault, kFleet, kFixed, kAdaptive };
-  Mode mode = Mode::kBackendDefault;
+  enum class Mode : uint8_t { kFleet, kFixed, kAdaptive };
+  Mode mode = Mode::kFleet;
   size_t fixed = 64;  // kFixed only
 
   /// Throws std::invalid_argument on anything but the grammar above.
   static WindowSpec parse(const std::string& text);
-  /// The service window config for a `fleet`-device deployment under
-  /// `backend`.
-  attest::WindowConfig resolve(CollectionBackend backend,
-                               size_t fleet) const;
+  /// The service window config for a `fleet`-device deployment.
+  attest::WindowConfig resolve(size_t fleet) const;
 };
 
 struct ShardedFleetConfig {
@@ -269,14 +264,14 @@ class ShardedFleetRunner {
   FleetRoundResult collect_round(size_t round, sim::Time at);
   /// Per-round "window" row (both backends) and, with scoped retries on,
   /// the "scoped_retry" row -- emitted right after the round's collection.
-  void emit_window_round(MetricsSink& sink, size_t round,
-                         const overlay::RelayTransport::Stats& before);
+  void emit_window_round(MetricsSink& sink, size_t round);
   /// Connectivity predicate of the overlay radio at the coordinator's
   /// current instant (mobility + churn; the verifier rides on `root`).
   bool link_up(net::NodeId a, net::NodeId b);
   void build_overlay();
+  /// Per-round "overlay" and "hops" rows: `now` minus last_overlay_.
   void emit_overlay_round(MetricsSink& sink, size_t round,
-                          const OverlayTotals& before);
+                          const OverlayTotals& now);
   /// Verifier-side landing of one deduplicated aggregate frame: MAC
   /// verification against the HEAD's directory record (the transport is
   /// deliberately directory-free), then per-bit session resolution --
@@ -290,19 +285,10 @@ class ShardedFleetRunner {
     uint64_t healthy_bits = 0;   // sessions closed by a healthy bit
     uint64_t auth_failures = 0;  // bad head MAC (or out-of-range head)
   };
-  void emit_aggregate_round(MetricsSink& sink, size_t round,
-                            const AggregateCounters& before,
-                            const overlay::RelayTransport::Stats&
-                                transport_before);
+  void emit_aggregate_round(MetricsSink& sink, size_t round);
   /// Snapshot of every registered instrument into the "metrics" table
   /// (histograms additionally into "metrics_hist", one row per bucket).
   void emit_metrics_round(MetricsSink& sink, size_t round);
-  /// Mirrors the DirectTransport's channel drain counters into the
-  /// "channels" obs counters (per-round deltas, kDirect batch serve only)
-  /// and emits a kRunner "channel_drain" trace instant for the round.
-  /// Domain count is fixed by the FLEET (never the thread count), so
-  /// these values are byte-identical at 1/2/8 threads.
-  void sync_channel_metrics(sim::Time at);
   /// Hooks each device's measurement observer: trace emission into its
   /// shard's buffer (kDevice category) and/or the meter's CPU charge. The
   /// observer runs shard-side and touches only shard-local state -- the
@@ -327,18 +313,19 @@ class ShardedFleetRunner {
   void build_adversary();
   /// Per-round "adversary" row: campaign deltas (infections, migrations,
   /// evasions, captures, detections), current residency, the cumulative
-  /// mean detection latency, and the round's adversarial relay losses.
+  /// mean detection latency, and the round's adversarial relay losses
+  /// (`totals` minus last_overlay_).
   void emit_adversary_round(MetricsSink& sink, size_t round,
-                            const OverlayTotals& before);
+                            const OverlayTotals& totals);
 
   ShardedFleetConfig config_;
   std::vector<swarm::DeviceSpec> specs_;  // indexed by global DeviceId
   swarm::RandomWaypointMobility mobility_;
   /// One persistent worker pool for EVERY parallel phase the runner owns:
-  /// shard advances between barriers, the transport's domain-parallel
-  /// collect serve, the service's batched verify and mobility's adjacency
-  /// rows. Sized to the shard count (1 = all phases inline on the calling
-  /// thread, same code path, zero synchronization).
+  /// shard advances between barriers, the transport's chunk-parallel
+  /// collect serve and the service's batched verify. Sized to the shard
+  /// count (1 = all phases inline on the calling thread, same code path,
+  /// zero synchronization).
   std::unique_ptr<common::ParallelExecutor> executor_;
   std::vector<Shard> shards_;
   std::vector<swarm::DeviceStack> stacks_;  // indexed by global DeviceId
@@ -376,6 +363,11 @@ class ShardedFleetRunner {
   std::unique_ptr<overlay::RelayTransport> relay_transport_;
   net::NodeId verifier_node_ = 0;
   AggregateCounters agg_counters_;
+  /// The previous round's cumulative counters, the base of the per-round
+  /// overlay/scoped_retry/aggregate/adversary deltas.
+  OverlayTotals last_overlay_;
+  overlay::RelayTransport::Stats last_transport_;
+  AggregateCounters last_agg_;
   std::unique_ptr<attest::AttestationService> service_;
   /// Sessions completed during the current overlay round (observer-fed;
   /// kDirect rounds use collect_now()'s synchronous return instead).
@@ -388,15 +380,6 @@ class ShardedFleetRunner {
   obs::Registry metrics_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::PhaseProfiler phases_;
-
-  /// Channel traffic instruments (kDirect batch serve only; all null
-  /// otherwise) and the last mirrored cumulative counter values.
-  struct {
-    obs::Counter* frames_local = nullptr;
-    obs::Counter* frames_cross = nullptr;
-    obs::Counter* drains = nullptr;
-  } channel_inst_;
-  net::ShardChannels::Counters last_channel_;
 };
 
 }  // namespace erasmus::scenario

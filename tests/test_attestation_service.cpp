@@ -6,12 +6,15 @@
 // without disturbing the session they tried to hijack.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "attest/directory.h"
 #include "attest/prover.h"
 #include "attest/service.h"
 #include "attest/transport.h"
+#include "common/parallel.h"
 
 namespace erasmus::attest {
 namespace {
@@ -161,6 +164,96 @@ TEST(DirectTransport, BroadcastMatchesSendLoopExactly) {
   // A non-request type is dropped without touching any prover.
   via_broadcast.broadcast(peers, MsgType::kCollectResponse, body);
   EXPECT_EQ(broadcast_log.size(), 3u);
+}
+
+// --- DirectTransport batch serve ---------------------------------------------
+
+using Delivery = std::tuple<net::NodeId, MsgType, Bytes>;
+
+/// `n` devices measured for 45 minutes, attached both to a transport that
+/// serves collect broadcasts on a `width`-wide pool and to a plain one whose
+/// per-peer send() loop is the reference.
+struct BatchServeRig {
+  sim::EventQueue queue;
+  common::ParallelExecutor executor;
+  std::vector<std::unique_ptr<Device>> devices;
+  DirectTransport batched;
+  DirectTransport sequential;
+  std::vector<Delivery> batched_log;
+  std::vector<Delivery> sequential_log;
+
+  BatchServeRig(uint32_t n, size_t width) : executor(width) {
+    for (uint32_t id = 0; id < n; ++id) {
+      devices.push_back(std::make_unique<Device>(queue, id));
+      batched.attach(id, devices[id]->prover);
+      sequential.attach(id, devices[id]->prover);
+    }
+    batched.enable_batch_serve(executor);
+    for (auto& d : devices) d->prover.start();
+    queue.run_until(Time::zero() + Duration::minutes(45));
+    batched.set_receiver([this](net::NodeId src, MsgType type, ByteView b) {
+      batched_log.emplace_back(src, type, Bytes(b.begin(), b.end()));
+    });
+    sequential.set_receiver([this](net::NodeId src, MsgType type,
+                                   ByteView b) {
+      sequential_log.emplace_back(src, type, Bytes(b.begin(), b.end()));
+    });
+  }
+
+  /// One collect broadcast through the batch serve, and the same peers
+  /// through the send() loop.
+  void collect(const std::vector<net::NodeId>& peers, uint32_t k) {
+    const Bytes body = CollectRequest{k}.serialize();
+    batched.broadcast(peers, MsgType::kCollectRequest, body);
+    for (const net::NodeId peer : peers) {
+      sequential.send(peer, MsgType::kCollectRequest, body);
+    }
+  }
+};
+
+TEST(DirectTransportBatchServe, CrossDomainFleetMatchesSequentialServe) {
+  // The batch serve fans the provers out over a 4-wide pool, then delivers
+  // the per-peer slots: same responses, same order, byte for byte.
+  BatchServeRig rig(6, 4);
+  rig.collect({2, 3, 4, 5}, 4);
+  ASSERT_EQ(rig.batched_log.size(), 4u);
+  EXPECT_EQ(rig.batched_log, rig.sequential_log);
+  EXPECT_EQ(rig.batched.last_processing().ns(),
+            rig.sequential.last_processing().ns());
+
+  rig.collect({0, 1}, 4);
+  EXPECT_EQ(rig.batched_log.size(), 6u);
+  EXPECT_EQ(rig.batched_log, rig.sequential_log);
+}
+
+TEST(DirectTransportBatchServe, RepeatedRunsAreIdenticalAcrossPoolWidths) {
+  // The same fleet served through 1-wide and 4-wide pools must deliver
+  // identical bytes: worker count is wall-clock only. (This is the
+  // transport-level slice of the CI cmp jobs.)
+  std::vector<std::vector<Delivery>> logs;
+  for (const size_t width : {size_t{1}, size_t{4}}) {
+    BatchServeRig rig(9, width);
+    rig.collect({0, 1, 2, 3, 4, 5, 6, 7, 8}, 3);
+    EXPECT_EQ(rig.batched_log, rig.sequential_log);
+    logs.push_back(rig.batched_log);
+  }
+  ASSERT_EQ(logs.size(), 2u);
+  ASSERT_EQ(logs[0].size(), 9u);
+  EXPECT_EQ(logs[0], logs[1]);
+}
+
+TEST(DirectTransportBatchServe, UnsortedPeersAndUnattachedTrailerMatchSendLoop) {
+  // Delivery follows `peers`, not endpoint ids: 5 before 2. The trailing
+  // peer 99 is not attached, so like the send() loop the batch leaves
+  // last_processing() at zero although 2 and 5 both replied.
+  BatchServeRig rig(6, 4);
+  rig.collect({5, 2, 99}, 4);
+  ASSERT_EQ(rig.batched_log.size(), 2u);
+  EXPECT_EQ(std::get<0>(rig.batched_log[0]), 5u);
+  EXPECT_EQ(rig.batched_log, rig.sequential_log);
+  EXPECT_EQ(rig.sequential.last_processing().ns(), 0u);
+  EXPECT_EQ(rig.batched.last_processing().ns(),
+            rig.sequential.last_processing().ns());
 }
 
 // --- Single-shot over DirectTransport ---------------------------------------
